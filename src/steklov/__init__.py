@@ -36,7 +36,6 @@ from .operators import (
     DtnDiscretization,
     apply_diff_fast,
     build_dtn,
-    conjugation_matrix,
     fourier_diff_matrix,
     kernel_values,
     nystrom_matrices,
@@ -85,7 +84,6 @@ __all__ = [
     "builtin_families",
     "cauchy_eval",
     "check_inequalities",
-    "conjugation_matrix",
     "convergence_study",
     "curve_from_spec",
     "eigenmode_field",

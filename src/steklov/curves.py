@@ -110,7 +110,7 @@ class BoundaryCurve:
 
         t = nodes(_VALIDATION_N)
         et, e1 = self.eta(t), self.eta1(t)
-        signed = 0.5 * (2.0 * np.pi / _VALIDATION_N) * np.sum(np.imag(np.conj(et) * e1))
+        signed = _signed_area(et, e1)
         if self.kind is DomainKind.BOUNDED_INTERIOR:
             if signed <= 0:
                 raise CurveError(f"{self.name}: bounded domain requires counterclockwise orientation")
@@ -129,7 +129,7 @@ class BoundaryCurve:
     def signed_area(self, n: int = _VALIDATION_N) -> float:
         """Orientation-signed enclosed area by the trapezoidal Green formula."""
         t = nodes(n)
-        return 0.5 * (2.0 * np.pi / n) * float(np.sum(np.imag(np.conj(self.eta(t)) * self.eta1(t))))
+        return _signed_area(self.eta(t), self.eta1(t))
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,16 @@ class Grid:
     eta1: np.ndarray
     speed: np.ndarray
     rho: np.ndarray
+
+    @property
+    def perimeter(self) -> float:
+        """Boundary length by the trapezoidal rule, (2π/n) Σ |η'(t_j)|."""
+        return float(2.0 * np.pi / self.n * np.sum(self.speed))
+
+    @property
+    def area(self) -> float:
+        """Enclosed area (orientation-independent) by the trapezoidal Green formula."""
+        return abs(_signed_area(self.eta, self.eta1))
 
 
 def build_grid(curve: BoundaryCurve, n: int) -> Grid:
@@ -173,6 +183,12 @@ def build_grid(curve: BoundaryCurve, n: int) -> Grid:
         if abs(w - 1.0) > _WINDING_TOL_COARSE:
             raise CurveError(f"{curve.name}: alpha not enclosed once at n={n} (winding {w:.3g})")
     return Grid(n=n, t=t, eta=et, eta1=e1, speed=speed, rho=1.0 / speed)
+
+
+def _signed_area(eta: np.ndarray, eta1: np.ndarray) -> float:
+    """Green's formula (1/2) ∮ Im(conj(η) dη) by the trapezoidal rule on the samples."""
+    n = len(eta)
+    return float(0.5 * (2.0 * np.pi / n) * np.sum(np.imag(np.conj(eta) * eta1)))
 
 
 def _winding(eta: np.ndarray, eta1: np.ndarray, z: complex) -> float:
@@ -364,8 +380,7 @@ def perimeter(curve: BoundaryCurve, n: int = 256) -> float:
     """
     if n < 16:
         raise CurveError(f"perimeter requires n >= 16, got {n}")
-    grid = build_grid(curve, n)
-    return float(2.0 * np.pi / n * np.sum(grid.speed))
+    return build_grid(curve, n).perimeter
 
 
 def area(curve: BoundaryCurve, n: int = 256) -> float:
@@ -374,8 +389,7 @@ def area(curve: BoundaryCurve, n: int = 256) -> float:
     Green's theorem with the trapezoidal rule; the absolute value
     makes the result orientation-independent.
     """
-    grid = build_grid(curve, n)
-    return float(abs(0.5 * (2.0 * np.pi / n) * np.sum(np.imag(np.conj(grid.eta) * grid.eta1))))
+    return build_grid(curve, n).area
 
 
 def scale_to_perimeter(

@@ -3,16 +3,22 @@
 For an even grid size n the module assembles
 
 * ``D`` — spectral differentiation of the trigonometric interpolant,
-  factorized as D = F W F* with the DFT matrix F and the diagonal
-  frequency matrix W (the Nyquist slot of W is zero, so D annihilates
-  the alternating mode cos(n t / 2));
+  D = F W F* with the DFT matrix F and the diagonal frequency matrix
+  W (the Nyquist slot of W is zero, so D annihilates the alternating
+  mode cos(n t / 2)).  The solver applies D as a Fourier multiplier
+  (`apply_diff_fast`, a real FFT along the first axis, O(n log n) per
+  column); the dense `fourier_diff_matrix` is the reference it is
+  tested against;
 * ``K`` — the discrete conjugation (Hilbert transform) matrix,
-  K_ij = (2/n) cot((i-j) π / n) for odd i-j, zero otherwise;
+  K_ij = (2/n) cot((i-j) π / n) for odd i-j, zero otherwise, a
+  circulant built from one column;
 * ``B``, ``C`` — Nyström matrices for the boundary integral equation
   (I - N) μ = -M γ: B discretizes the continuous Neumann-type kernel
   N(s,t) by the trapezoidal rule, and C = -K + C̃ splits the singular
   kernel M(s,t) into its cotangent part (handled exactly by K) and
-  the continuous remainder M̃ (trapezoidal);
+  the continuous remainder M̃ (trapezoidal).  Both come from one
+  evaluation of the complex kernel; -K and the cotangent that M̃
+  adds back depend on i-j only and enter C as a single circulant;
 * ``E = -(I - B)^{-1} C`` — the conjugation matrix mapping the
   boundary values of Re f to those of Im f, for f analytic in the
   domain with Im f(α) = 0 (bounded) or Im f(∞) = 0 (exterior).
@@ -40,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import circulant
 
 from .curves import BoundaryCurve, DomainKind, Grid, build_grid
 from .densela import LUFactors, SingularMatrixError, lu_factor
@@ -49,7 +56,6 @@ __all__ = [
     "DtnDiscretization",
     "apply_diff_fast",
     "build_dtn",
-    "conjugation_matrix",
     "fourier_diff_matrix",
     "kernel_values",
     "nystrom_matrices",
@@ -100,28 +106,41 @@ def fourier_diff_matrix(n: int) -> np.ndarray:
 
 
 def apply_diff_fast(values: np.ndarray) -> np.ndarray:
-    """Apply the spectral differentiation operator via the FFT.
+    """Apply the spectral differentiation operator via the real FFT.
 
-    Equals fourier_diff_matrix(n) @ values to rounding; O(n log n).
-    Accepts a vector or a matrix of columns.
+    Equals fourier_diff_matrix(n) @ values to rounding; O(n log n) per
+    column.  Accepts a vector or a matrix of columns (axis 0 is the
+    grid).  The multiplier is i k for k = 0 .. n/2 with the Nyquist
+    slot set to zero.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     _check_even(n)
-    w = -1j * _frequencies(n)
-    if values.ndim == 1:
-        return np.real(np.fft.fft(w * np.fft.ifft(values)))
-    return np.real(np.fft.fft(w[:, None] * np.fft.ifft(values, axis=0), axis=0))
+    ik = 1j * np.arange(n // 2 + 1)
+    ik[-1] = 0.0
+    coef = np.fft.rfft(values, axis=0)
+    coef *= ik.reshape((-1,) + (1,) * (values.ndim - 1))
+    return np.fft.irfft(coef, n=n, axis=0)
+
+
+def _wittich_column(n: int) -> np.ndarray:
+    """First column of K: (2/n) cot(m π / n) at odd offsets m.
+
+    The entry at n - m is set to the negated entry at m (and the one at
+    n/2 to the exact zero of cot(π/2)), so the circulant is exactly
+    antisymmetric.
+    """
+    m = np.arange(1, n // 2, 2)
+    col = np.zeros(n)
+    col[m] = (2.0 / n) / np.tan(m * np.pi / n)
+    col[n - m] = -col[m]
+    return col
 
 
 def wittich_matrix(n: int) -> np.ndarray:
     """Discrete conjugation matrix with cotangent entries at odd offsets."""
     _check_even(n)
-    d = np.subtract.outer(np.arange(n), np.arange(n))
-    odd = (d % 2) != 0
-    k = np.zeros((n, n))
-    k[odd] = (2.0 / n) / np.tan(d[odd] * np.pi / n)
-    return k
+    return circulant(_wittich_column(n))
 
 
 # ---------------------------------------------------------------------------
@@ -177,49 +196,44 @@ def nystrom_matrices(grid: Grid, curve: BoundaryCurve) -> tuple[np.ndarray, np.n
 
     B_ij = (2π/n) N(t_i, t_j); C = -K + C̃ with C̃_ij = (2π/n) M̃(t_i, t_j).
     C annihilates constants up to the trapezoidal error of the kernel.
+
+    The complex kernel h (M + i N) is evaluated once off the diagonal,
+    with the column factor (h/π) η'_j / A_j and the row factor A_i.
+    -K_ij and the term (h/2π) cot((t_i - t_j)/2) that turns M into M̃
+    depend on m = i - j mod n only, so C is the kernel's real part plus
+    one circulant with column (1/n) cot(m π / n) - K_m0.
+
+    Both matrices are column-major, the layout LAPACK factorizes and
+    solves with, so `build_dtn` does not transpose them.
     """
     n = grid.n
-    eta, eta1 = grid.eta, grid.eta1
-    if curve.kind is DomainKind.BOUNDED_INTERIOR:
-        a_val = eta - curve.alpha
-    else:
-        a_val = np.ones(n, dtype=complex)
-
-    denom = eta[None, :] - eta[:, None]  # η(t_j) - η(t_i); row i = s, col j = t
-    np.fill_diagonal(denom, 1.0)
-    m_in = (1.0 / np.pi) * (a_val[:, None] / a_val[None, :]) * eta1[None, :] / denom
-
-    dt = np.subtract.outer(grid.t, grid.t)
-    np.fill_diagonal(dt, 1.0)
-    n_mat = m_in.imag
-    mt_mat = m_in.real + (1.0 / (2.0 * np.pi)) / np.tan(dt / 2.0)
-
-    q = _log_derivative_term(curve, grid.t) / np.pi
-    np.fill_diagonal(n_mat, q.imag)
-    np.fill_diagonal(mt_mat, q.real)
-
     h = 2.0 * np.pi / n
-    b = h * n_mat
-    c = -wittich_matrix(n) + h * mt_mat
+    eta = grid.eta
+    bounded = curve.kind is DomainKind.BOUNDED_INTERIOR
+    col_factor = (h / np.pi) * grid.eta1
+    if bounded:
+        a_val = eta - curve.alpha
+        col_factor = col_factor / a_val
+
+    # h (M + i N)(t_i, t_j) = A_i (h/π) η'_j / (A_j (η_j - η_i)); row i = s, col j = t.
+    # The transposed outer difference is η_j - η_i, laid out column-major.
+    kern = np.subtract.outer(eta, eta).T
+    np.fill_diagonal(kern, 1.0)
+    np.divide(col_factor, kern, out=kern)
+    if bounded:
+        kern *= a_val[:, None]
+
+    shift = np.zeros(n)
+    shift[1:] = 1.0 / (n * np.tan(np.arange(1, n) * np.pi / n))
+    shift -= _wittich_column(n)
+
+    diag = (h / np.pi) * _log_derivative_term(curve, grid.t)
+    b = kern.imag.copy(order="F")
+    np.fill_diagonal(b, diag.imag)
+    c = circulant(shift[-np.arange(n) % n]).T  # c_ij = shift[(i - j) mod n]
+    c += kern.real
+    np.fill_diagonal(c, diag.real)
     return b, c
-
-
-def _conjugation_from_nystrom(
-    n: int, b: np.ndarray, c: np.ndarray
-) -> tuple[np.ndarray, LUFactors]:
-    try:
-        factors = lu_factor(np.eye(n) - b)
-    except SingularMatrixError as exc:
-        raise DiscretizationError(
-            f"(I - B) is singular at n={n}; increase the grid size"
-        ) from exc
-    return -factors.solve(c), factors
-
-
-def conjugation_matrix(grid: Grid, curve: BoundaryCurve) -> tuple[np.ndarray, LUFactors]:
-    """Conjugation matrix E = -(I - B)^{-1} C and the retained LU of (I - B)."""
-    b, c = nystrom_matrices(grid, curve)
-    return _conjugation_from_nystrom(grid.n, b, c)
 
 
 @dataclass
@@ -227,13 +241,13 @@ class DtnDiscretization:
     """All grid-level operators for one (curve, n) pair.
 
     Treated as immutable once built; ``q`` is filled in lazily by
-    ``spectrum.assemble_q`` (it is the only n³-cost matrix product and
-    not every use of the discretization needs it).
+    ``spectrum.assemble_q`` (an O(n² log n) product that not every use
+    of the discretization needs).  The O(n³) work is the LU of (I - B)
+    and the solve for E.
     """
 
     curve: BoundaryCurve
     grid: Grid
-    K: np.ndarray
     B: np.ndarray
     C: np.ndarray
     E: np.ndarray
@@ -245,23 +259,34 @@ class DtnDiscretization:
         return self.grid.n
 
     @property
+    def K(self) -> np.ndarray:
+        """Discrete conjugation matrix (built on demand; the solve never reads it)."""
+        return wittich_matrix(self.n)
+
+    @property
     def rho(self) -> np.ndarray:
         """Diagonal of the arclength weight matrix P."""
         return self.grid.rho
 
 
 def build_dtn(curve: BoundaryCurve, n: int) -> DtnDiscretization:
-    """Assemble K, B, C, E and the (I - B) factorization for (curve, n)."""
+    """Assemble B, C, E = -(I - B)^{-1} C and the (I - B) factorization for (curve, n)."""
     grid = build_grid(curve, n)
     b, c = nystrom_matrices(grid, curve)
-    e, factors = _conjugation_from_nystrom(n, b, c)
+    i_minus_b = -b  # keeps B's column-major layout
+    i_minus_b[np.diag_indices(n)] += 1.0
+    try:
+        factors = lu_factor(i_minus_b)
+    except SingularMatrixError as exc:
+        raise DiscretizationError(
+            f"(I - B) is singular at n={n}; increase the grid size"
+        ) from exc
     return DtnDiscretization(
         curve=curve,
         grid=grid,
-        K=wittich_matrix(n),
         B=b,
         C=c,
-        E=e,
+        E=-factors.solve(c),
         lu_i_minus_b=factors,
     )
 

@@ -6,7 +6,6 @@ from steklov.curves import build_grid, nodes
 from steklov.operators import (
     apply_diff_fast,
     build_dtn,
-    conjugation_matrix,
     fourier_diff_matrix,
     kernel_values,
     nystrom_matrices,
@@ -97,10 +96,10 @@ def test_apply_diff_fast_matches_dense(rng):
 
 
 def test_apply_diff_fast_on_columns(rng):
-    n = 32
-    m = rng.normal(size=(n, 3))
-    d = fourier_diff_matrix(n)
-    assert np.allclose(apply_diff_fast(m), d @ m, atol=1e-12)
+    for n in (32, 30):  # n/2 even and odd
+        m = rng.normal(size=(n, 3))
+        d = fourier_diff_matrix(n)
+        assert np.allclose(apply_diff_fast(m), d @ m, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +174,18 @@ def test_kernel_values_broadcast(g1_curve):
     assert mt_val[1] == pytest.approx(mt_diag, abs=1e-15)
 
 
-def test_nystrom_entries_match_kernel_values(g1_curve):
-    n = 16
-    grid = build_grid(g1_curve, n)
-    b, c = nystrom_matrices(grid, g1_curve)
+def test_nystrom_entries_match_kernel_values(g1_curve, kite_bounded, kite_exterior):
+    # kernel_values evaluates N and M̃ point by point, independently of
+    # the fused (kernel + circulant) assembly; compare every entry.
+    n = 64
     k = wittich_matrix(n)
     h = 2 * np.pi / n
-    for i in (0, 3, 9):
-        for j in (0, 3, 12):
-            n_val, mt_val = kernel_values(g1_curve, grid.t[i], grid.t[j])
-            assert b[i, j] == pytest.approx(h * n_val, abs=1e-13)
-            assert c[i, j] == pytest.approx(-k[i, j] + h * mt_val, abs=1e-13)
+    for curve in (kite_bounded, kite_exterior, make_builtin("g2"), g1_curve):
+        grid = build_grid(curve, n)
+        b, c = nystrom_matrices(grid, curve)
+        n_val, mt_val = kernel_values(curve, grid.t[:, None], grid.t[None, :])
+        assert np.max(np.abs(b - h * n_val)) <= 1e-13, curve.name
+        assert np.max(np.abs(c - (-k + h * mt_val))) <= 1e-13, curve.name
 
 
 def test_nystrom_circle_matrices(disk):
@@ -213,12 +213,9 @@ def test_nystrom_circle_matrices(disk):
     ],
 )
 def test_constant_annihilation(family, params, kind, n):
-    curve = make_builtin(family, params, kind=kind)
-    grid = build_grid(curve, n)
-    _, c = nystrom_matrices(grid, curve)
-    assert np.max(np.abs(c @ np.ones(n))) <= 1e-12
-    e, _ = conjugation_matrix(grid, curve)
-    assert np.max(np.abs(e @ np.ones(n))) <= 1e-12
+    disc = build_dtn(make_builtin(family, params, kind=kind), n)
+    assert np.max(np.abs(disc.C @ np.ones(n))) <= 1e-12
+    assert np.max(np.abs(disc.E @ np.ones(n))) <= 1e-12
 
 
 def test_constant_annihilation_defect_decays(kite_bounded):
@@ -236,15 +233,13 @@ def test_constant_annihilation_defect_decays(kite_bounded):
 
 def test_disk_conjugation_reduces_to_wittich(disk):
     n = 64
-    grid = build_grid(disk, n)
-    e, _ = conjugation_matrix(grid, disk)
+    e = build_dtn(disk, n).E
     assert np.max(np.abs(e - wittich_matrix(n))) <= 1e-12
 
 
 def test_exterior_circle_conjugation_reduces_to_wittich():
     ext = make_builtin("disk", kind=DomainKind.UNBOUNDED_EXTERIOR)
-    grid = build_grid(ext, 64)
-    e, _ = conjugation_matrix(grid, ext)
+    e = build_dtn(ext, 64).E
     assert np.max(np.abs(e - wittich_matrix(64))) <= 1e-12
 
 

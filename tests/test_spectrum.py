@@ -30,6 +30,16 @@ def test_disk_q_eigenvector_checks(disk):
     assert np.max(np.abs(q @ np.cos(16 * t))) <= 1e-12  # spurious Nyquist mode
 
 
+def test_assemble_q_matches_dense_diff(kite_bounded, kite_exterior):
+    # The FFT path against the dense D = F W F*, with n/2 even and odd.
+    for curve in (kite_bounded, kite_exterior):
+        for n in (64, 66):
+            disc = build_dtn(curve, n)
+            q = assemble_q(disc)
+            ref = disc.rho[:, None] * (fourier_diff_matrix(n) @ disc.E)
+            assert np.max(np.abs(q - ref)) <= 1e-12 * np.linalg.norm(ref, 2), (curve.kind, n)
+
+
 def test_assemble_q_is_cached(disk):
     disc = build_dtn(disk, 32)
     assert assemble_q(disc) is assemble_q(disc)
