@@ -39,10 +39,9 @@ from .operators import (
     fourier_diff_matrix,
     kernel_values,
     nystrom_matrices,
-    solve_conjugate,
     wittich_matrix,
 )
-from .spectrum import SteklovSpectrum, apply_dtn, assemble_q, solve_spectrum
+from .spectrum import SteklovSpectrum, assemble_q, solve_spectrum
 from .studies import (
     ConvergenceRecord,
     CrossingResult,
@@ -75,7 +74,6 @@ __all__ = [
     "SteklovSpectrum",
     "SweepRecord",
     "apply_diff_fast",
-    "apply_dtn",
     "area",
     "assemble_q",
     "asymptotic_gaps",
@@ -100,7 +98,6 @@ __all__ = [
     "raster_field",
     "scale_to_perimeter",
     "smallest_magnitude_eigs",
-    "solve_conjugate",
     "solve_spectrum",
     "wittich_matrix",
 ]

@@ -46,16 +46,8 @@ __all__ = [
 ]
 
 # Grid size used for construction-time validation (orientation,
-# periodicity, strict winding check of alpha).
+# periodicity, winding check of alpha).
 _VALIDATION_N = 512
-
-# Working-grid winding gate is deliberately coarse: it only has to
-# distinguish "alpha enclosed once" from "alpha outside / wrong sheet".
-# The trapezoidal winding number converges to 1e-6 precision only once
-# the grid resolves the curve, which coarse convergence-study grids
-# (n ~ 20) do not.
-_WINDING_TOL_STRICT = 1e-6
-_WINDING_TOL_COARSE = 0.2
 
 
 class CurveError(ValueError):
@@ -104,20 +96,20 @@ class BoundaryCurve:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        ends = self.eta(np.array([0.0, 2.0 * np.pi]))
-        if abs(ends[0] - ends[1]) > 1e-12 * max(1.0, abs(ends[0])):
-            raise CurveError(f"{self.name}: parametrization is not 2π-periodic")
-
         t = nodes(_VALIDATION_N)
         et, e1 = self.eta(t), self.eta1(t)
+        ends = self.eta(np.array([0.0, 2.0 * np.pi]))
+        if abs(ends[0] - ends[1]) > 1e-12 * np.max(np.abs(et)):
+            raise CurveError(f"{self.name}: parametrization is not 2π-periodic")
+
         signed = _signed_area(et, e1)
         if self.kind is DomainKind.BOUNDED_INTERIOR:
             if signed <= 0:
                 raise CurveError(f"{self.name}: bounded domain requires counterclockwise orientation")
             if self.alpha is None:
                 raise CurveError(f"{self.name}: bounded domain requires a base point alpha")
-            w = _winding(et, e1, complex(self.alpha))
-            if abs(w - 1.0) > _WINDING_TOL_STRICT:
+            w = _winding(et, complex(self.alpha))
+            if not _encloses_once(w):
                 raise CurveError(
                     f"{self.name}: alpha={self.alpha} is not strictly inside the curve "
                     f"(winding {w:.6g})"
@@ -166,7 +158,7 @@ def build_grid(curve: BoundaryCurve, n: int) -> Grid:
     ------
     CurveError
         If n is not an even integer >= 4, η' vanishes on the grid, or
-        the base point fails the (coarse) enclosure check at this n.
+        the polygon through the samples does not enclose the base point once.
     """
     if n < 4 or n % 2 != 0:
         raise CurveError(f"grid size must be an even integer >= 4, got {n}")
@@ -179,8 +171,8 @@ def build_grid(curve: BoundaryCurve, n: int) -> Grid:
     if np.min(speed) <= 1e-14:
         raise CurveError(f"{curve.name}: η' vanishes on the grid (min |η'| = {np.min(speed):.3g})")
     if curve.kind is DomainKind.BOUNDED_INTERIOR:
-        w = _winding(et, e1, complex(curve.alpha))
-        if abs(w - 1.0) > _WINDING_TOL_COARSE:
+        w = _winding(et, complex(curve.alpha))
+        if not _encloses_once(w):
             raise CurveError(f"{curve.name}: alpha not enclosed once at n={n} (winding {w:.3g})")
     return Grid(n=n, t=t, eta=et, eta1=e1, speed=speed, rho=1.0 / speed)
 
@@ -191,10 +183,21 @@ def _signed_area(eta: np.ndarray, eta1: np.ndarray) -> float:
     return float(0.5 * (2.0 * np.pi / n) * np.sum(np.imag(np.conj(eta) * eta1)))
 
 
-def _winding(eta: np.ndarray, eta1: np.ndarray, z: complex) -> float:
-    """Trapezoidal winding number of the sampled curve about z."""
-    n = len(eta)
-    return float(np.real(np.sum(eta1 / (eta - z)) / (1j * n)))
+def _winding(eta: np.ndarray, z: complex) -> float:
+    """Winding number about z of the closed polygon through the samples.
+
+    Σ_j arg((η_{j+1} - z)/(η_j - z)) / 2π is an integer up to rounding
+    whatever the aspect ratio of the curve, unless z lies on the polygon
+    (a node or an edge), where it is not an integer.
+    """
+    d = eta - z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.sum(np.angle(np.roll(d, -1) / d)) / (2.0 * np.pi))
+
+
+def _encloses_once(w: float) -> bool:
+    """round(w) == 1, and False for the non-integer winding of a point on the polygon."""
+    return abs(w - 1.0) < 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,12 @@
 
 `smallest_magnitude_eigs` returns the k eigenpairs of smallest modulus
 of a real square matrix whose relevant spectrum is real (as for the
-shifted Dirichlet-to-Neumann matrices solved here).  Small matrices go
-through a full dense eigendecomposition (Hessenberg reduction plus
-shifted QR, via LAPACK); above a configurable size the solver switches
-to implicitly restarted Arnoldi iteration on A^{-1} (ARPACK), driven
-by a single LU factorization of A.  The starting vector is the
-normalized all-ones vector so repeated runs are bitwise reproducible.
+shifted Dirichlet-to-Neumann matrices solved here).  It runs
+implicitly restarted Arnoldi iteration on A^{-1} (ARPACK), driven by a
+single LU factorization of A, at every matrix size; ARPACK's
+machine-precision tolerance and default restart budget are used.  The
+starting vector is the all-ones vector so repeated runs are bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ __all__ = [
     "smallest_magnitude_eigs",
 ]
 
-DEFAULT_DENSE_THRESHOLD = 256
-DEFAULT_IMAG_TOL = 1e-8
+# Relative bound on imaginary parts that count as rounding noise.
+_IMAG_TOL = 1e-8
 
 
 class SingularMatrixError(RuntimeError):
@@ -86,11 +86,11 @@ def lu_factor(a: np.ndarray) -> LUFactors:
 
 
 def _order_and_realify(
-    values: np.ndarray, vectors: np.ndarray, k: int, imag_tol: float
+    values: np.ndarray, vectors: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Keep the k smallest-modulus pairs, sorted, with real vectors.
 
-    Imaginary parts below imag_tol * |value| are rounding noise and are
+    Imaginary parts below _IMAG_TOL * |value| are rounding noise and are
     truncated; anything larger means the matrix has a genuinely complex
     pair where a real one was expected.  A nearly degenerate real pair
     may come back from the solver as a complex-conjugate pair (tiny
@@ -102,11 +102,11 @@ def _order_and_realify(
     values = values[order]
     vectors = vectors[:, order]
 
-    bad = np.abs(values.imag) > imag_tol * np.abs(values)
+    bad = np.abs(values.imag) > _IMAG_TOL * np.abs(values)
     if np.any(bad):
         raise ComplexEigenvalueError(
             f"eigenvalue {values[np.argmax(bad)]:.6g} has imaginary part beyond "
-            f"tolerance {imag_tol:g}; the requested spectrum is expected to be real"
+            f"tolerance {_IMAG_TOL:g}; the requested spectrum is expected to be real"
         )
 
     real_vectors = np.empty(vectors.shape, dtype=float)
@@ -115,11 +115,11 @@ def _order_and_realify(
         v = vectors[:, j]
         pivot = v[np.argmax(np.abs(v))]
         w = v * (np.conj(pivot) / abs(pivot))
-        if np.max(np.abs(w.imag)) <= imag_tol * np.max(np.abs(w.real)):
+        if np.max(np.abs(w.imag)) <= _IMAG_TOL * np.max(np.abs(w.real)):
             real_vectors[:, j] = w.real / np.linalg.norm(w.real)
             j += 1
             continue
-        pair_ok = j + 1 < k and abs(np.conj(values[j + 1]) - values[j]) <= imag_tol * max(
+        pair_ok = j + 1 < k and abs(np.conj(values[j + 1]) - values[j]) <= _IMAG_TOL * max(
             1.0, abs(values[j])
         )
         if not pair_ok:
@@ -137,42 +137,24 @@ def _order_and_realify(
 
 @dataclass(frozen=True)
 class EigenPairSet:
-    """Eigenpairs sorted ascending by modulus.
-
-    residuals[i] = ||A v_i - λ_i v_i||_2 / ||A||_F with ||v_i||_2 = 1.
-    """
+    """Eigenpairs sorted ascending by modulus, with unit-norm real vectors."""
 
     values: np.ndarray
     vectors: np.ndarray
-    residuals: np.ndarray
 
 
-def smallest_magnitude_eigs(
-    a: np.ndarray,
-    k: int,
-    tol: float = 0.0,
-    max_iter: int | None = None,
-    dense_threshold: int = DEFAULT_DENSE_THRESHOLD,
-    imag_tol: float = DEFAULT_IMAG_TOL,
-) -> EigenPairSet:
+def smallest_magnitude_eigs(a: np.ndarray, k: int) -> EigenPairSet:
     """Compute the k smallest-modulus eigenpairs of a real square matrix.
+
+    Shift-invert Arnoldi: ARPACK finds the k largest-modulus
+    eigenvalues of A^{-1}, applied through one LU factorization of A.
 
     Parameters
     ----------
     a : ndarray
         Real square matrix with (numerically) real target eigenvalues.
     k : int
-        Number of eigenpairs; the Arnoldi path needs k <= n - 2.
-    tol : float
-        Ritz residual tolerance for the Arnoldi path (0 = machine).
-    max_iter : int, optional
-        Restart budget for the Arnoldi path (ARPACK default if None).
-    dense_threshold : int
-        For n <= dense_threshold all eigenpairs are computed densely
-        and the k smallest are selected; above it, shift-invert
-        Arnoldi on A^{-1} via one LU factorization.
-    imag_tol : float
-        Relative bound on acceptable imaginary parts.
+        Number of eigenpairs, 1 <= k <= n - 2.
 
     Raises
     ------
@@ -182,38 +164,22 @@ def smallest_magnitude_eigs(
     EigenSolveError
         Arnoldi did not converge within the restart budget.
     ComplexEigenvalueError
-        A requested eigenvalue is complex beyond `imag_tol`.
+        A requested eigenvalue is complex beyond rounding level.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    if not 1 <= k <= n - 2:
+        raise ValueError(f"k must satisfy 1 <= k <= n - 2, got k={k}, n={n}")
 
-    if n <= dense_threshold:
-        values, vectors = np.linalg.eig(a)
-    else:
-        if k > n - 2:
-            raise ValueError(f"Arnoldi path needs k <= n - 2, got k={k}, n={n}")
-        factors = lu_factor(a)
-        op = LinearOperator((n, n), matvec=factors.solve, dtype=float)
-        ncv = min(n, max(2 * k + 4, 20))
-        try:
-            inv_values, vectors = _arpack_eigs(
-                op,
-                k=k,
-                which="LM",
-                v0=np.ones(n),
-                ncv=ncv,
-                tol=tol,
-                maxiter=max_iter,
-            )
-        except ArpackNoConvergence as exc:
-            raise EigenSolveError(f"Arnoldi iteration did not converge: {exc}") from exc
-        values = 1.0 / inv_values
+    factors = lu_factor(a)
+    op = LinearOperator((n, n), matvec=factors.solve, dtype=float)
+    ncv = min(n, max(2 * k + 4, 20))
+    try:
+        inv_values, vectors = _arpack_eigs(op, k=k, which="LM", v0=np.ones(n), ncv=ncv)
+    except ArpackNoConvergence as exc:
+        raise EigenSolveError(f"Arnoldi iteration did not converge: {exc}") from exc
 
-    values, vectors = _order_and_realify(values, vectors, k, imag_tol)
-    norm_a = np.linalg.norm(a, "fro")
-    residuals = np.linalg.norm(a @ vectors - vectors * values.real, axis=0) / norm_a
-    return EigenPairSet(values=values, vectors=vectors, residuals=residuals)
+    values, vectors = _order_and_realify(1.0 / inv_values, vectors, k)
+    return EigenPairSet(values=values, vectors=vectors)

@@ -49,7 +49,7 @@ import numpy as np
 from scipy.linalg import circulant
 
 from .curves import BoundaryCurve, DomainKind, Grid, build_grid
-from .densela import LUFactors, SingularMatrixError, lu_factor
+from .densela import SingularMatrixError, lu_factor
 
 __all__ = [
     "DiscretizationError",
@@ -59,7 +59,6 @@ __all__ = [
     "fourier_diff_matrix",
     "kernel_values",
     "nystrom_matrices",
-    "solve_conjugate",
     "wittich_matrix",
 ]
 
@@ -251,7 +250,6 @@ class DtnDiscretization:
     B: np.ndarray
     C: np.ndarray
     E: np.ndarray
-    lu_i_minus_b: LUFactors
     q: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -270,7 +268,10 @@ class DtnDiscretization:
 
 
 def build_dtn(curve: BoundaryCurve, n: int) -> DtnDiscretization:
-    """Assemble B, C, E = -(I - B)^{-1} C and the (I - B) factorization for (curve, n)."""
+    """Assemble B, C and E = -(I - B)^{-1} C for (curve, n).
+
+    The LU of I - B is dropped once E is solved for.
+    """
     grid = build_grid(curve, n)
     b, c = nystrom_matrices(grid, curve)
     i_minus_b = -b  # keeps B's column-major layout
@@ -287,16 +288,5 @@ def build_dtn(curve: BoundaryCurve, n: int) -> DtnDiscretization:
         B=b,
         C=c,
         E=-factors.solve(c),
-        lu_i_minus_b=factors,
     )
 
-
-def solve_conjugate(disc: DtnDiscretization, gamma: np.ndarray) -> np.ndarray:
-    """Harmonic-conjugate boundary values μ solving (I - B) μ = -C γ.
-
-    Matrix-free equivalent of E @ gamma through the retained LU.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape[0] != disc.n:
-        raise ValueError(f"gamma has length {gamma.shape[0]}, expected {disc.n}")
-    return disc.lu_i_minus_b.solve(-(disc.C @ gamma))

@@ -11,7 +11,8 @@ whose low eigenvalues approximate the Steklov spectrum.  Q has a
 double zero eigenvalue: the genuine constant mode λ_0 = 0 and the
 spurious alternating (Nyquist) mode introduced by the even-n
 discretization.  Both are removed here.  Eigenvalues are extracted
-from Q + I (shifting away the zero cluster) and shifted back, which
+from Q + I (shifting away the zero cluster) by shift-invert Arnoldi,
+one LU factorization of Q + I at every n, and shifted back, which
 leaves the eigenvectors untouched.
 
 Eigenvector traces are normalized against the arclength weight,
@@ -33,12 +34,10 @@ from .operators import (
     apply_diff_fast,
     build_dtn,
     fourier_diff_matrix,  # noqa: F401  (kept importable here: perfbench traces it by this name)
-    solve_conjugate,
 )
 
 __all__ = [
     "SteklovSpectrum",
-    "apply_dtn",
     "assemble_q",
     "solve_spectrum",
 ]
@@ -100,29 +99,13 @@ def assemble_q(disc: DtnDiscretization) -> np.ndarray:
     return disc.q
 
 
-def apply_dtn(disc: DtnDiscretization, gamma: np.ndarray) -> np.ndarray:
-    """Matrix-free Dirichlet-to-Neumann product ρ ∘ D(E γ).
-
-    Equals assemble_q(disc) @ gamma to rounding, at O(n²) cost.
-    """
-    return disc.rho * apply_diff_fast(solve_conjugate(disc, gamma))
-
-
-def solve_spectrum(
-    curve: BoundaryCurve,
-    n: int,
-    k: int,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    dense_threshold: int = 256,
-    tol: float = 0.0,
-    max_iter: int | None = None,
-) -> SteklovSpectrum:
+def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
     """Compute the first k nonzero Steklov eigenpairs of `curve` at grid size n.
 
     Requests the k + 2 smallest-magnitude eigenvalues of Q + I,
     shifts back by 1, and discards exactly the two near-zero modes
-    (|λ| <= zero_tol · max(1, λ_max)): the constant eigenfunction and
-    the spurious Nyquist mode.
+    (|λ| <= DEFAULT_ZERO_TOL · max(1, λ_max)): the constant
+    eigenfunction and the spurious Nyquist mode.
 
     Raises
     ------
@@ -141,13 +124,11 @@ def solve_spectrum(
     # a row-major identity would transpose n² entries and slow the LU.
     shifted = q.copy(order="K")
     shifted[np.diag_indices(n)] += 1.0
-    pairs = smallest_magnitude_eigs(
-        shifted, k + 2, tol=tol, max_iter=max_iter, dense_threshold=dense_threshold
-    )
+    pairs = smallest_magnitude_eigs(shifted, k + 2)
     lam = pairs.values.real - 1.0
     vectors = pairs.vectors
 
-    zero_gate = zero_tol * max(1.0, float(np.max(lam)))
+    zero_gate = DEFAULT_ZERO_TOL * max(1.0, float(np.max(lam)))
     zero_mask = np.abs(lam) <= zero_gate
     found = int(np.sum(zero_mask))
     if found != 2:

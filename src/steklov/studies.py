@@ -68,7 +68,6 @@ def convergence_study(
     n_list: list[int],
     k: int,
     n_ref: int,
-    **solve_kwargs,
 ) -> list[ConvergenceRecord]:
     """Per-mode relative errors |λ_{k,n} - λ_{k,ref}| / λ_{k,ref}.
 
@@ -80,10 +79,10 @@ def convergence_study(
         raise StudyError("empty n_list")
     if n_ref <= max(n_list):
         raise StudyError(f"reference n_ref={n_ref} must exceed max(n_list)={max(n_list)}")
-    reference = solve_spectrum(curve, n_ref, k, **solve_kwargs).lambdas
+    reference = solve_spectrum(curve, n_ref, k).lambdas
     records = []
     for n in n_list:
-        lam = solve_spectrum(curve, n, k, **solve_kwargs).lambdas
+        lam = solve_spectrum(curve, n, k).lambdas
         records.append(ConvergenceRecord(n=n, rel_errors=np.abs(lam - reference) / reference))
     return records
 
@@ -133,7 +132,6 @@ def parameter_sweep(
     k: int,
     target_perimeter: float = 2.0 * np.pi,
     n_policy=None,
-    **solve_kwargs,
 ) -> list[SweepRecord]:
     """Solve the family along r at fixed perimeter.
 
@@ -146,7 +144,7 @@ def parameter_sweep(
         r = float(r)
         n = int(policy(r))
         curve = scale_to_perimeter(family, {"r": r}, target_perimeter, n, kind=kind)
-        spec = solve_spectrum(curve, n, k, **solve_kwargs)
+        spec = solve_spectrum(curve, n, k)
         records.append(
             SweepRecord(
                 r=r,
@@ -184,7 +182,6 @@ def find_crossing(
     target_perimeter: float = 2.0 * np.pi,
     r_tol: float = 1e-8,
     n_policy=None,
-    **solve_kwargs,
 ) -> CrossingResult:
     """Locate r* in the bracket minimizing λ_{k+1}(r) - λ_k(r).
 
@@ -206,7 +203,7 @@ def find_crossing(
         if r not in cache:
             n = int(policy(r))
             curve = scale_to_perimeter(family, {"r": r}, target_perimeter, n, kind=kind)
-            lam = solve_spectrum(curve, n, k + 1, **solve_kwargs).lambdas
+            lam = solve_spectrum(curve, n, k + 1).lambdas
             cache[r] = (float(lam[k - 1]), float(lam[k]), n)
         low, high, _ = cache[r]
         return high - low

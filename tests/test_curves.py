@@ -124,7 +124,18 @@ def test_alpha_must_be_interior():
     with pytest.raises(CurveError):
         make_builtin("disk", alpha=2.0)
     with pytest.raises(CurveError):
+        make_builtin("disk", alpha=1.0)  # on the curve, at the node t = 0
+    with pytest.raises(CurveError):
         with_alpha(make_builtin("g1"), 8 + 6j)
+
+
+@pytest.mark.parametrize("r", [36.0, 50.0, 1000.0, 1e4])
+def test_thin_ellipses_construct(r):
+    for kind in DomainKind:
+        curve = make_builtin("ellipse", {"r": r}, kind=kind)
+        assert curve.kind is kind
+    with pytest.raises(CurveError):
+        make_builtin("ellipse", {"r": r}, alpha=2.0)
 
 
 def test_alpha_override():

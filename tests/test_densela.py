@@ -67,12 +67,12 @@ def test_lu_rejects_nonsquare():
 # ---------------------------------------------------------------------------
 
 def test_eigs_diagonal():
-    pairs = smallest_magnitude_eigs(np.diag([3.0, 1.0, 2.0]), k=2, dense_threshold=16)
+    pairs = smallest_magnitude_eigs(np.diag([3.0, 1.0, 2.0, 8.0, 5.0, 7.0, 4.0, 6.0]), k=2)
     assert np.allclose(pairs.values.real, [1.0, 2.0], atol=1e-14)
     assert np.allclose(pairs.values.imag, 0.0)
     # eigenvectors are canonical basis vectors up to sign
-    assert np.allclose(np.abs(pairs.vectors[:, 0]), [0, 1, 0], atol=1e-14)
-    assert np.allclose(np.abs(pairs.vectors[:, 1]), [0, 0, 1], atol=1e-14)
+    assert np.allclose(np.abs(pairs.vectors[:, 0]), np.eye(8)[1], atol=1e-14)
+    assert np.allclose(np.abs(pairs.vectors[:, 1]), np.eye(8)[2], atol=1e-14)
 
 
 def _similarity_matrix(rng, spectrum):
@@ -81,15 +81,9 @@ def _similarity_matrix(rng, spectrum):
     return s @ np.diag(spectrum) @ np.linalg.inv(s)
 
 
-def test_eigs_constructed_spectrum_dense(rng):
-    a = _similarity_matrix(rng, np.array([0.5, 1.0, 4.0, 9.0]))
-    pairs = smallest_magnitude_eigs(a, k=2)
-    assert np.allclose(pairs.values.real, [0.5, 1.0], atol=1e-10)
-
-
 def test_eigs_constructed_spectrum_arnoldi(rng):
     a = _similarity_matrix(rng, np.array([0.5, 1.0, 4.0, 9.0]))
-    pairs = smallest_magnitude_eigs(a, k=2, dense_threshold=0)
+    pairs = smallest_magnitude_eigs(a, k=2)
     assert np.allclose(pairs.values.real, [0.5, 1.0], atol=1e-10)
 
 
@@ -97,28 +91,29 @@ def test_dense_and_arnoldi_agree(rng):
     spectrum = np.concatenate([np.linspace(0.5, 3.0, 8), np.linspace(10.0, 40.0, 52)])
     a = _similarity_matrix(rng, spectrum)
     k = 6
-    dense = smallest_magnitude_eigs(a, k=k, dense_threshold=256)
-    arnoldi = smallest_magnitude_eigs(a, k=k, dense_threshold=0)
-    assert np.allclose(dense.values.real, arnoldi.values.real, rtol=1e-9)
+    dense = np.linalg.eigvals(a)
+    dense = dense[np.argsort(np.abs(dense))][:k]
+    arnoldi = smallest_magnitude_eigs(a, k=k)
+    assert np.allclose(dense.real, arnoldi.values.real, rtol=1e-9)
 
 
 def test_residual_property(rng):
     a = _similarity_matrix(rng, np.linspace(1.0, 20.0, 30))
-    for threshold in (256, 0):
-        pairs = smallest_magnitude_eigs(a, k=4, dense_threshold=threshold)
-        norm_a = np.linalg.norm(a, "fro")
-        for j in range(4):
-            v = pairs.vectors[:, j]
-            res = np.linalg.norm(a @ v - pairs.values[j].real * v)
-            assert res <= 1e-10 * norm_a
-            assert pairs.residuals[j] <= 1e-10
+    pairs = smallest_magnitude_eigs(a, k=4)
+    norm_a = np.linalg.norm(a, "fro")
+    for j in range(4):
+        v = pairs.vectors[:, j]
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        res = np.linalg.norm(a @ v - pairs.values[j].real * v)
+        assert res <= 1e-10 * norm_a
 
 
 def test_values_sorted_by_modulus(rng):
-    a = _similarity_matrix(rng, np.array([7.0, 2.0, 5.0, 1.0, 3.0]))
-    pairs = smallest_magnitude_eigs(a, k=4)
+    a = _similarity_matrix(rng, np.array([7.0, 2.0, 5.0, 1.0, 3.0, 11.0, 4.0, 9.0, 6.0, 8.0]))
+    pairs = smallest_magnitude_eigs(a, k=8)
     mods = np.abs(pairs.values)
     assert np.all(np.diff(mods) >= -1e-12)
+    assert np.allclose(pairs.values.real, np.arange(1.0, 9.0), atol=1e-10)
 
 
 def test_disk_dtn_shifted_spectrum():
@@ -143,10 +138,10 @@ def test_k_bounds():
     with pytest.raises(ValueError):
         smallest_magnitude_eigs(a, k=5)
     with pytest.raises(ValueError):
-        smallest_magnitude_eigs(a, k=3, dense_threshold=0)
+        smallest_magnitude_eigs(a, k=3)  # Arnoldi needs k <= n - 2
 
 
 def test_singular_matrix_rejected_for_inverse_iteration():
     a = np.diag([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
     with pytest.raises(SingularMatrixError):
-        smallest_magnitude_eigs(a, k=2, dense_threshold=0)
+        smallest_magnitude_eigs(a, k=2)

@@ -9,7 +9,6 @@ from steklov.operators import (
     fourier_diff_matrix,
     kernel_values,
     nystrom_matrices,
-    solve_conjugate,
     wittich_matrix,
 )
 
@@ -278,27 +277,15 @@ def test_conjugation_error_decays_spectrally(kite_bounded):
 def test_solve_conjugate_disk(disk):
     disc = build_dtn(disk, 32)
     t = disc.grid.t
-    assert np.max(np.abs(solve_conjugate(disc, np.cos(t)) - np.sin(t))) <= 1e-13
-    assert np.max(np.abs(solve_conjugate(disc, np.ones(32)))) <= 1e-13
+    assert np.max(np.abs(disc.E @ np.cos(t) - np.sin(t))) <= 1e-13
+    assert np.max(np.abs(disc.E @ np.ones(32))) <= 1e-13
 
 
 def test_solve_conjugate_kite_cubic(kite_bounded):
     disc = build_dtn(kite_bounded, 512)
     f = (disc.grid.eta - kite_bounded.alpha) ** 3
-    mu = solve_conjugate(disc, f.real)
+    mu = disc.E @ f.real
     assert np.max(np.abs(mu - f.imag)) <= 1e-9
-
-
-def test_solve_conjugate_matches_matrix(g1_curve, rng):
-    disc = build_dtn(g1_curve, 128)
-    gamma = rng.normal(size=128)
-    assert np.max(np.abs(solve_conjugate(disc, gamma) - disc.E @ gamma)) <= 1e-12
-
-
-def test_solve_conjugate_length_check(disk):
-    disc = build_dtn(disk, 32)
-    with pytest.raises(ValueError):
-        solve_conjugate(disc, np.ones(16))
 
 
 @pytest.mark.parametrize("kind", list(DomainKind))

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from steklov import DomainKind, make_builtin, scale_to_perimeter
+from steklov import DomainKind, builtin_families, make_builtin, scale_to_perimeter
 from steklov.curves import with_alpha
 from steklov.operators import build_dtn, fourier_diff_matrix, wittich_matrix
-from steklov.spectrum import apply_dtn, assemble_q, solve_spectrum
+from steklov.spectrum import assemble_q, solve_spectrum
 
 DISK_FIRST_TEN = np.array([1, 1, 2, 2, 3, 3, 4, 4, 5, 5], dtype=float)
 
@@ -45,22 +45,12 @@ def test_assemble_q_is_cached(disk):
     assert assemble_q(disc) is assemble_q(disc)
 
 
-# ---------------------------------------------------------------------------
-# Matrix-free application
-# ---------------------------------------------------------------------------
-
 def test_apply_dtn_disk_modes(disk):
     disc = build_dtn(disk, 32)
-    t = disc.grid.t
-    assert np.max(np.abs(apply_dtn(disc, np.cos(2 * t)) - 2 * np.cos(2 * t))) <= 1e-12
-    assert np.max(np.abs(apply_dtn(disc, np.ones(32)))) <= 1e-12
-
-
-def test_apply_dtn_matches_dense(g1_curve, rng):
-    disc = build_dtn(g1_curve, 256)
     q = assemble_q(disc)
-    gamma = rng.normal(size=256)
-    assert np.max(np.abs(apply_dtn(disc, gamma) - q @ gamma)) <= 1e-11
+    t = disc.grid.t
+    assert np.max(np.abs(q @ np.cos(2 * t) - 2 * np.cos(2 * t))) <= 1e-12
+    assert np.max(np.abs(q @ np.ones(32))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +109,20 @@ def test_band_headroom_precondition(disk):
         solve_spectrum(disk, 32, 0)
 
 
-def test_arnoldi_path_matches_dense_path(kite_bounded):
-    dense = solve_spectrum(kite_bounded, 288, 8, dense_threshold=512)
-    arnoldi = solve_spectrum(kite_bounded, 288, 8, dense_threshold=128)
-    assert np.allclose(dense.lambdas, arnoldi.lambdas, rtol=1e-9)
+def test_arnoldi_path_matches_dense_path():
+    # Oracle: every eigenvalue of Q by dense QR, with the two of least
+    # modulus (the zero pair) dropped; k = 6 includes the disk's double
+    # eigenvalues 1, 2, 3.
+    k = 6
+    for family in builtin_families():
+        for kind in DomainKind:
+            curve = make_builtin(family, kind=kind)
+            for n in (32, 64, 256):
+                ev = np.linalg.eigvals(assemble_q(build_dtn(curve, n)))
+                ev = ev[np.argsort(np.abs(ev))][2 : k + 2]
+                dense = np.sort(ev.real)
+                lam = solve_spectrum(curve, n, k).lambdas
+                assert np.max(np.abs(lam - dense) / dense) <= 1e-10, (family, kind, n)
 
 
 def test_spectrum_independent_of_alpha(g1_curve):
