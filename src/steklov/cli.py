@@ -307,9 +307,14 @@ def _cmd_crossing(args) -> int:
             "lambda_high": result.lambda_high,
             "gap": result.gap,
             "n": result.n,
+            "method": result.method,
+            "solves": result.solves,
         },
     )
-    print(f"r_star = {fmt(result.r)}  gap = {fmt(result.gap)}")
+    print(
+        f"r_star = {fmt(result.r)}  gap = {fmt(result.gap)}  "
+        f"method = {result.method}  solves = {result.solves}"
+    )
     return 0
 
 

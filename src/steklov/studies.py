@@ -11,11 +11,15 @@ for Steklov shape inequalities:
   only for the disk.
 
 Eigenvalue branches of the sorted spectrum may touch as r varies;
-`find_crossing` locates the smallest parameter where two consecutive
-sorted eigenvalues coincide by golden-section minimization of the
-gap.  For k-th eigenvalues of large index, λ_{2k-1} and λ_{2k} both
-approach 2πk/|Γ|, and `asymptotic_gaps` reports the signed deviations
-from that law.
+`find_crossing` locates the parameter where two consecutive sorted
+eigenvalues coincide.  Branches that meet at a crossing of a
+symmetric curve belong to different reflection classes, so the gap
+signed by the order of the two classes has a simple root, which
+Brent's method finds in a handful of solves; golden-section
+minimization of the unsigned gap is the fallback.  For k-th
+eigenvalues of large index, λ_{2k-1} and λ_{2k} both approach
+2πk/|Γ|, and `asymptotic_gaps` reports the signed deviations from
+that law.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ __all__ = [
     "asymptotic_gaps",
     "check_inequalities",
     "convergence_study",
+    "curve_reflections",
     "find_crossing",
     "gap_decay_summary",
     "paper_n_policy",
@@ -45,6 +50,7 @@ __all__ = [
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = float(np.finfo(float).eps)
 
 
 class StudyError(RuntimeError):
@@ -162,9 +168,25 @@ def parameter_sweep(
 # Eigenvalue crossings
 # ---------------------------------------------------------------------------
 
+# A reflection must map the sampled boundary onto itself to this
+# fraction of its radius about the centroid.
+_REFLECTION_TOL = 1e-10
+# A trace whose parity |⟨γ, γ∘perm⟩_W| / ⟨γ, γ⟩_W falls below this
+# mixes two reflection classes and is not classified.
+_PARITY_MIN = 0.5
+# Gap, relative to λ_{k+1}, below which the two traces of a crossing
+# may mix; a pair that cannot be told apart there counts as the root.
+_MIXING_GAP = 1e-10
+
+
 @dataclass(frozen=True)
 class CrossingResult:
-    """Parameter where two consecutive sorted eigenvalues coincide."""
+    """Parameter where two consecutive sorted eigenvalues coincide.
+
+    ``solves`` counts the spectra solved by the search; ``method`` is
+    ``"brent"`` when the parity-signed gap was root-searched and
+    ``"golden"`` when the search fell back to minimizing the gap.
+    """
 
     k: int
     r: float
@@ -172,6 +194,101 @@ class CrossingResult:
     lambda_high: float
     gap: float
     n: int
+    solves: int
+    method: str
+
+
+def curve_reflections(eta: np.ndarray) -> list[int]:
+    """Reflection symmetries of a sampled closed curve.
+
+    Returns every shift s in [0, n) for which the index map
+    j → (s - j) mod n is a reflection of the samples: η[perm] =
+    u·conj(η) + c with |u| = 1.  Candidates come from the circular
+    self-convolution Σ_j z_j z_{s-j} of z = η - mean(η), which is the
+    least-squares u of each map times ‖z‖²; each candidate is then
+    checked sample by sample.
+    """
+    eta = np.asarray(eta, dtype=complex)
+    n = eta.size
+    z = eta - eta.mean()
+    u = np.fft.ifft(np.fft.fft(z) ** 2) / np.vdot(z, z).real
+    j = np.arange(n)
+    bound = _REFLECTION_TOL * np.max(np.abs(z))
+    return [
+        int(s)
+        for s in np.flatnonzero(np.abs(u) >= 1.0 - 1e-8)
+        if np.max(np.abs(z[(s - j) % n] - u[s] * np.conj(z))) <= bound
+    ]
+
+
+def _parity_class(spec: SteklovSpectrum, mode: int, shifts: list[int]):
+    """Signs of the parities of trace `mode` under each reflection, or None if mixed.
+
+    Each sign is keyed by the reflection's shift as a fraction of the
+    period, so classes from grids of different n compare equal.
+    """
+    n = spec.n
+    g = spec.traces[:, mode]
+    wg = spec.grid.speed * g
+    norm = np.dot(wg, g)
+    j = np.arange(n)
+    signs = []
+    for s in shifts:
+        parity = np.dot(wg, g[(s - j) % n]) / norm
+        if abs(parity) < _PARITY_MIN:
+            return None
+        signs.append((s / n, parity > 0.0))
+    return tuple(signs)
+
+
+class _NoParity(Exception):
+    """The parity-signed gap is undefined; the search falls back to golden section."""
+
+
+def _brent_root(
+    f, a: float, b: float, fa: float, fb: float, xtol: float
+) -> tuple[float, float]:
+    """Brent's root of f in [a, b], where fa and fb have opposite signs.
+
+    Inverse quadratic interpolation and secant steps, with bisection
+    whenever they do not shrink the bracket fast enough (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+    Returns the final bracket (b, c), at most ~xtol wide, with
+    |f(b)| <= |f(c)|.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * _EPS * abs(b) + 0.5 * xtol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b, c
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
 
 
 def find_crossing(
@@ -183,54 +300,124 @@ def find_crossing(
     r_tol: float = 1e-8,
     n_policy=None,
 ) -> CrossingResult:
-    """Locate r* in the bracket minimizing λ_{k+1}(r) - λ_k(r).
+    """Locate r* in the bracket where λ_k(r) and λ_{k+1}(r) coincide.
 
-    Golden-section search on the (nonnegative, V-shaped near a
-    crossing) gap; derivative-free and deterministic.  Fails if the
-    minimizer sits at a bracket endpoint — the bracket then does not
-    contain an interior near-crossing.
+    Where the two branches belong to different reflection classes of
+    the curve, their signed difference has a simple root.  The
+    reflections are detected from the boundary samples
+    (`curve_reflections`), each of the two traces is classified by its
+    parities ⟨γ, γ∘perm⟩_W under them (W = |η'|), and Brent's method
+    finds the root of g(r) = (λ_{k+1} - λ_k)·σ(r), where σ = ±1 by
+    the order of the pair's two classes in a fixed order of classes.
+    That takes about 7 solves to r_tol.
+
+    The search falls back to golden-section minimization of the
+    (nonnegative, V-shaped near a crossing) gap, which takes ~40
+    solves and reuses the ones already made, when the curve has no
+    reflection or more than two (the disk), when an evaluated pair of
+    traces shares a class or mixes classes away from a crossing, when
+    g does not change sign over the bracket, or when the ends of the
+    final bracket do not hold the same two classes, swapped (g jumped
+    where a third branch crossed in).
+
+    Fails if the crossing sits at a bracket endpoint, i.e. the
+    bracket does not contain an interior near-crossing.
     """
     if k < 1:
         raise StudyError(f"crossing index k must be >= 1, got {k}")
     lo, hi = float(r_bracket[0]), float(r_bracket[1])
     if not lo < hi:
         raise StudyError(f"invalid bracket {r_bracket}")
+    r_tol = float(r_tol)
+    if not (math.isfinite(r_tol) and r_tol > 0.0):
+        raise StudyError(f"r_tol must be finite and positive, got {r_tol}")
     policy = _resolve_policy(family, n_policy)
 
-    cache: dict[float, tuple[float, float, int]] = {}
+    # r -> (λ_k, λ_{k+1}, n, parity classes of the pair or None)
+    cache: dict[float, tuple[float, float, int, tuple | None]] = {}
 
-    def eval_gap(r: float) -> float:
+    def solve_at(r: float):
         if r not in cache:
             n = int(policy(r))
             curve = scale_to_perimeter(family, {"r": r}, target_perimeter, n, kind=kind)
-            lam = solve_spectrum(curve, n, k + 1).lambdas
-            cache[r] = (float(lam[k - 1]), float(lam[k]), n)
-        low, high, _ = cache[r]
+            spec = solve_spectrum(curve, n, k + 1)
+            shifts = curve_reflections(spec.grid.eta)
+            pair = None
+            if len(shifts) in (1, 2):
+                pair = (_parity_class(spec, k - 1, shifts), _parity_class(spec, k, shifts))
+            cache[r] = (float(spec.lambdas[k - 1]), float(spec.lambdas[k]), n, pair)
+        return cache[r]
+
+    def eval_gap(r: float) -> float:
+        low, high, _, _ = solve_at(r)
         return high - low
 
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = eval_gap(c), eval_gap(d)
-    while (b - a) > r_tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = eval_gap(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = eval_gap(d)
-    r_star = 0.5 * (a + b)
-    gap = eval_gap(r_star)
+    try:
+        r_star = _parity_root(solve_at, lo, hi, r_tol)
+        method = "brent"
+    except _NoParity:
+        r_star = _golden_min(eval_gap, lo, hi, r_tol)
+        method = "golden"
 
     edge = max(r_tol, 1e-6 * (hi - lo))
     if min(r_star - lo, hi - r_star) <= edge:
         raise StudyError(
-            f"gap minimizer r={r_star:.10g} sits at the bracket edge; no interior crossing"
+            f"crossing estimate r={r_star:.10g} sits at the bracket edge; no interior crossing"
         )
-    low, high, n = cache[r_star]
-    return CrossingResult(k=k, r=r_star, lambda_low=low, lambda_high=high, gap=gap, n=n)
+    low, high, n, _ = solve_at(r_star)
+    return CrossingResult(
+        k=k, r=r_star, lambda_low=low, lambda_high=high, gap=high - low, n=n,
+        solves=len(cache), method=method,
+    )
+
+
+def _parity_root(solve_at, lo: float, hi: float, r_tol: float) -> float:
+    """Brent root of the parity-signed gap; raises _NoParity where it is undefined.
+
+    The sign is + while λ_k's class precedes λ_{k+1}'s in the (fixed,
+    arbitrary) tuple order of classes.  g jumps where a third branch
+    crosses in, so the final bracket must hold the same two classes,
+    swapped, at its two ends.
+    """
+
+    def signed_gap(r: float) -> float:
+        low, high, _, pair = solve_at(r)
+        if pair is not None and None not in pair and pair[0] != pair[1]:
+            return high - low if pair[0] < pair[1] else low - high
+        if high - low <= _MIXING_GAP * high:
+            return 0.0
+        raise _NoParity
+
+    g_lo, g_hi = signed_gap(lo), signed_gap(hi)
+    if not g_lo * g_hi < 0.0:
+        raise _NoParity
+    b, c = _brent_root(signed_gap, lo, hi, g_lo, g_hi, r_tol)
+    if signed_gap(b) != 0.0 and solve_at(c)[3] != solve_at(b)[3][::-1]:
+        raise _NoParity
+    return b
+
+
+def _golden_min(f, lo: float, hi: float, r_tol: float) -> float:
+    """Golden-section minimizer of f on [lo, hi], to a bracket of r_tol.
+
+    The tolerance is floored at a few ulps of the bracket so the loop
+    ends even when r_tol is below the float spacing there.
+    """
+    tol = max(r_tol, 8.0 * _EPS * max(abs(lo), abs(hi)))
+    a, b = lo, hi
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------

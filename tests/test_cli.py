@@ -130,12 +130,23 @@ def test_sweep_csv(tmp_path):
     assert len(lines) == 3
 
 
-def test_crossing_json(tmp_path):
+def test_crossing_json(tmp_path, capsys):
     assert run_cli(["crossing", "--family", "ellipse", "--k", "2", "--bracket", "1.8", "2.2",
                     "--r-tol", "1e-4", "--n", "96", "--output", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "crossing.json").read_text())
     assert payload["k"] == 2
     assert abs(payload["r"] - 1.98387) < 1e-3
+    assert payload["method"] == "brent"
+    assert 2 <= payload["solves"] <= 10
+    out = capsys.readouterr().out
+    assert f"method = brent  solves = {payload['solves']}" in out
+
+
+def test_crossing_zero_r_tol_is_config_error(tmp_path, capsys):
+    code = run_cli(["crossing", "--family", "ellipse", "--k", "2", "--bracket", "1.8", "2.2",
+                    "--r-tol", "0", "--n", "32", "--output", str(tmp_path)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "StudyError"
 
 
 def test_verify_csv(tmp_path):

@@ -1,12 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from steklov import DomainKind, make_builtin, solve_spectrum
+import steklov
+import steklov.studies as studies
+from steklov import DomainKind, build_grid, make_builtin, solve_spectrum
 from steklov.studies import (
     StudyError,
     asymptotic_gaps,
     check_inequalities,
     convergence_study,
+    curve_reflections,
     find_crossing,
     gap_decay_summary,
     paper_n_policy,
@@ -28,6 +36,8 @@ ELLIPSE_CROSSINGS = {
 }
 # Both eigenvalues at the k = 2 crossing.
 ELLIPSE_K2_CROSSING_VALUE = 1.679239176823
+# Golden-section r* for k = 2 on (1.7, 2.3) at n = 256, r_tol = 1e-8.
+ELLIPSE_K2_GOLDEN_R = 1.9838737085235256
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +146,66 @@ def test_crossing_k2_reproduces_reference():
     assert result.gap <= 1e-6
     assert result.lambda_low == pytest.approx(ELLIPSE_K2_CROSSING_VALUE, abs=1e-8)
     assert result.lambda_high == pytest.approx(ELLIPSE_K2_CROSSING_VALUE, abs=1e-8)
+    assert result.method == "brent"
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("shift", [-0.15, -0.10, 0.0, 0.15])
+def test_crossing_brent_across_bracket_shifts(k, shift):
+    # (2.40, 3.40) for k = 3 lands on the crossing itself, where the two
+    # traces mix; (2.35, 3.35) starts below a crossing of λ_4 with λ_5.
+    lo, hi = {2: (1.5, 2.5), 3: (2.5, 3.5)}[k]
+    result = find_crossing(
+        "ellipse", DomainKind.BOUNDED_INTERIOR, k, (lo + shift, hi + shift), n_policy=256
+    )
+    assert result.method == "brent"
+    assert result.solves <= 10
+    expected = ELLIPSE_CROSSINGS[k]
+    assert abs(result.r - expected) / expected <= 1e-6
+    assert result.gap <= 1e-6
+    if k == 2:
+        assert result.lambda_low == pytest.approx(ELLIPSE_K2_CROSSING_VALUE, abs=1e-8)
+        assert result.lambda_high == pytest.approx(ELLIPSE_K2_CROSSING_VALUE, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "family, params, count",
+    [
+        ("ellipse", {"r": 2.0}, 2),
+        ("star2", {"r": 0.3}, 2),
+        ("g2", None, 2),
+        ("g1", None, 1),
+        ("kite", None, 0),
+        ("disk", None, 256),
+    ],
+)
+@pytest.mark.parametrize("kind", list(DomainKind))
+def test_curve_reflections_on_builtins(family, params, count, kind):
+    eta = build_grid(make_builtin(family, params, kind=kind), 256).eta
+    shifts = curve_reflections(eta)
+    assert len(shifts) == count
+    j = np.arange(256)
+    for s in shifts:
+        mirrored = eta[(s - j) % 256]
+        # the reflection z -> u conj(z) + c through two samples fixes it
+        u = (mirrored[1] - mirrored[0]) / np.conj(eta[1] - eta[0])
+        c = mirrored[0] - u * np.conj(eta[0])
+        assert abs(abs(u) - 1.0) <= 1e-12
+        assert np.max(np.abs(mirrored - u * np.conj(eta) - c)) <= 1e-12 * np.max(np.abs(eta))
+
+
+@pytest.mark.parametrize(
+    "detector", [lambda eta: [], lambda eta: list(range(eta.size))], ids=["none", "disk-like"]
+)
+def test_crossing_falls_back_to_golden(monkeypatch, detector):
+    monkeypatch.setattr(studies, "curve_reflections", detector)
+    result = find_crossing(
+        "ellipse", DomainKind.BOUNDED_INTERIOR, 2, (1.7, 2.3), n_policy=256
+    )
+    assert result.method == "golden"
+    assert result.r == pytest.approx(ELLIPSE_K2_GOLDEN_R, rel=1e-12)
+    assert result.lambda_low == pytest.approx(ELLIPSE_K2_CROSSING_VALUE, abs=1e-8)
+    assert result.solves == 42
 
 
 def test_crossing_rejects_monotone_bracket():
@@ -157,6 +227,24 @@ def test_crossing_argument_checks():
         find_crossing("ellipse", DomainKind.BOUNDED_INTERIOR, 2, (2.5, 1.5))
 
 
+@pytest.mark.parametrize("r_tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_crossing_rejects_invalid_r_tol(r_tol):
+    with pytest.raises(StudyError, match="r_tol"):
+        find_crossing(
+            "ellipse", DomainKind.BOUNDED_INTERIOR, 2, (1.5, 2.5), r_tol=r_tol, n_policy=32
+        )
+
+
+def test_golden_fallback_ends_below_float_spacing(monkeypatch):
+    # r_tol far below the float spacing at r ~ 2 must still terminate
+    monkeypatch.setattr(studies, "curve_reflections", lambda eta: [])
+    result = find_crossing(
+        "ellipse", DomainKind.BOUNDED_INTERIOR, 2, (1.8, 2.2), r_tol=1e-300, n_policy=64
+    )
+    assert result.method == "golden"
+    assert abs(result.r - ELLIPSE_CROSSINGS[2]) < 1e-3
+
+
 def test_crossing_needs_scalable_family():
     from steklov import CurveError
 
@@ -164,7 +252,6 @@ def test_crossing_needs_scalable_family():
         find_crossing("disk", DomainKind.BOUNDED_INTERIOR, 2, (1.5, 2.5), n_policy=64)
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("k", sorted(ELLIPSE_CROSSINGS))
 def test_all_eight_crossings(k):
     expected = ELLIPSE_CROSSINGS[k]
@@ -177,6 +264,15 @@ def test_all_eight_crossings(k):
     )
     assert abs(result.r - expected) / expected <= 1e-6
     assert result.gap <= 1e-6
+    assert result.method == "brent"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize would add ~0.3 s to every `import steklov`
+    src = str(Path(steklov.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import sys, steklov; sys.exit(int('scipy.optimize' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 # ---------------------------------------------------------------------------
