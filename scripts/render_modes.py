@@ -12,7 +12,7 @@ import argparse
 from pathlib import Path
 
 from steklov import DomainKind, make_builtin, solve_spectrum
-from steklov.cli import _parse_params, write_csv
+from steklov.cli import _parse_params, _raster_size, write_field_csvs
 from steklov.extension import raster_field
 
 
@@ -23,7 +23,7 @@ def main() -> int:
     parser.add_argument("--exterior", action="store_true")
     parser.add_argument("--n", type=int, default=512)
     parser.add_argument("--modes", default="1,2,3,4")
-    parser.add_argument("--raster", type=int, default=100)
+    parser.add_argument("--raster", type=_raster_size, default=100)
     parser.add_argument("--output", default="results/modes")
     args = parser.parse_args()
 
@@ -34,13 +34,8 @@ def main() -> int:
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
+    write_field_csvs(outdir, modes, raster_field(spec, modes, args.raster))
     for j in modes:
-        ras = raster_field(spec, j, args.raster)
-        rows = []
-        for iy in range(len(ras.y)):
-            for ix in range(len(ras.x)):
-                rows.append([ras.x[ix], ras.y[iy], ras.u[iy, ix], int(ras.flags[iy, ix])])
-        write_csv(outdir / f"mode_{j}.csv", ["x", "y", "u", "flag"], rows)
         print(f"mode {j}: lambda = {spec.lambdas[j - 1]:.12f} -> mode_{j}.csv")
     return 0
 

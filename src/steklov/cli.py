@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from . import curves
 from .curves import CurveError, DomainKind
 from .densela import EigenSolveError
-from .extension import ExtensionError, eigenmode_field, raster_field
+from .extension import ExtensionError, RasterField, eigenmode_field, raster_field
 from .operators import DiscretizationError, build_dtn
 from .spectrum import SteklovSpectrum, solve_spectrum
 from .studies import (
@@ -43,7 +44,12 @@ from .studies import (
 
 SCHEMA = "steklov/1"
 
-_CONFIG_ERRORS = (CurveError, StudyError, ValueError, KeyError, OSError)
+
+class ConfigError(Exception):
+    """Invalid command-line request."""
+
+
+_CONFIG_ERRORS = (ConfigError, CurveError, StudyError, ValueError, KeyError, OSError)
 _SOLVER_ERRORS = (DiscretizationError, EigenSolveError, ExtensionError, np.linalg.LinAlgError)
 
 
@@ -72,10 +78,23 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Floats (Python or numpy) as `fmt` renders them, other cells as `str`.
+
+    All cells go through one %-format, with a row template per tuple of
+    cell types; every row of a float array has the same one.
+    """
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        kinds = [(float,) * rows.shape[1]] * len(rows)
+        rows = rows.tolist()
+    else:
+        rows = list(rows)
+        kinds = [tuple(map(type, row)) for row in rows]
+    templates = {
+        k: ",".join("%.15g" if issubclass(t, (float, np.floating)) else "%s" for t in k) + "\n"
+        for k in set(kinds)
+    }
+    body = "".join(map(templates.__getitem__, kinds)) % tuple(chain.from_iterable(rows))
+    path.write_text(",".join(header) + "\n" + body)
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +179,16 @@ def _write_spectrum_csv(path: Path, spec: SteklovSpectrum) -> None:
     write_csv(path, ["mode", "lambda", "lambda_scaled", "residual"], rows)
 
 
-def _write_traces_csv(path: Path, spec: SteklovSpectrum) -> None:
-    header = ["t"] + [f"gamma_{j + 1}" for j in range(spec.k)]
-    rows = [
-        [spec.grid.t[i]] + [spec.traces[i, j] for j in range(spec.k)] for i in range(spec.n)
-    ]
-    write_csv(path, header, rows)
-
-
-def _write_conjugates_csv(path: Path, spec: SteklovSpectrum) -> None:
-    header = ["t"] + [f"mu_{j + 1}" for j in range(spec.k)]
-    rows = [
-        [spec.grid.t[i]] + [spec.conjugates[i, j] for j in range(spec.k)] for i in range(spec.n)
-    ]
-    write_csv(path, header, rows)
+def write_field_csvs(outdir: Path, modes: list[int], fields) -> None:
+    """mode_<j>.csv (x, y, u, flag) for raster fields or point samples of the given modes."""
+    for j, field in zip(modes, fields):
+        if isinstance(field, RasterField):
+            ny, nx = field.u.shape
+            x, y = np.tile(field.x, ny), np.repeat(field.y, nx)
+        else:
+            x, y = field.points.real, field.points.imag
+        rows = np.column_stack((x, y, field.u.ravel(), field.flags.ravel()))
+        write_csv(outdir / f"mode_{j}.csv", ["x", "y", "u", "flag"], rows)
 
 
 def _dump_operators(outdir: Path, curve, n: int) -> None:
@@ -198,8 +213,10 @@ def _cmd_solve(args) -> int:
     else:
         _write_spectrum_csv(outdir / "spectrum.csv", spec)
     if args.traces:
-        _write_traces_csv(outdir / "traces.csv", spec)
-        _write_conjugates_csv(outdir / "conjugates.csv", spec)
+        columns = (("traces", "gamma", spec.traces), ("conjugates", "mu", spec.conjugates))
+        for name, col, data in columns:
+            header = ["t"] + [f"{col}_{j + 1}" for j in range(spec.k)]
+            write_csv(outdir / f"{name}.csv", header, np.column_stack((spec.grid.t, data)))
     if args.dump_operators:
         _dump_operators(outdir, curve, args.n)
     shown = spec.lambdas_scaled if args.scaled else spec.lambdas
@@ -209,41 +226,34 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _spectrum_for_modes(args) -> SteklovSpectrum:
+def _spectrum_for_modes(args, modes: list[int]) -> SteklovSpectrum:
     if args.spectrum:
         payload = json.loads(Path(args.spectrum).read_text())
         if payload.get("schema") != SCHEMA:
             raise CurveError(f"unsupported spectrum schema {payload.get('schema')!r}")
         n, k = int(payload["n"]), int(payload["k"])
         curve = curves.curve_from_spec(payload["curve"], n=n)
-        return solve_spectrum(curve, n, k)
-    if args.n is None:
+    elif args.n is None:
         raise CurveError("modes requires --n (or --spectrum to reuse a solve)")
-    curve = _build_curve(args, args.n)
-    return solve_spectrum(curve, args.n, args.k)
+    else:
+        n, k, curve = args.n, args.k, _build_curve(args, args.n)
+    for j in modes:
+        if not 1 <= j <= k:
+            raise ConfigError(f"--modes index {j} out of range 1..{k}")
+    return solve_spectrum(curve, n, k)
 
 
 def _cmd_modes(args) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    spec = _spectrum_for_modes(args)
-    mode_indices = [int(j) for j in args.modes.split(",")]
-    for j in mode_indices:
-        if args.points:
-            data = np.loadtxt(args.points, delimiter=",", skiprows=1, ndmin=2)
-            pts = data[:, 0] + 1j * data[:, 1]
-            sample = eigenmode_field(spec, j, pts)
-            rows = [
-                [z.real, z.imag, u, int(flag)]
-                for z, u, flag in zip(sample.points, sample.u, sample.flags)
-            ]
-        else:
-            ras = raster_field(spec, j, args.raster)
-            rows = []
-            for iy in range(len(ras.y)):
-                for ix in range(len(ras.x)):
-                    rows.append([ras.x[ix], ras.y[iy], ras.u[iy, ix], int(ras.flags[iy, ix])])
-        write_csv(outdir / f"mode_{j}.csv", ["x", "y", "u", "flag"], rows)
+    modes = [int(j) for j in args.modes.split(",")]
+    spec = _spectrum_for_modes(args, modes)
+    if args.points:
+        data = np.loadtxt(args.points, delimiter=",", skiprows=1, ndmin=2)
+        fields = eigenmode_field(spec, modes, data[:, 0] + 1j * data[:, 1])
+    else:
+        fields = raster_field(spec, modes, args.raster)
+    write_field_csvs(outdir, modes, fields)
     return 0
 
 
@@ -362,6 +372,12 @@ def _cmd_gaps(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _raster_size(text: str) -> int:
+    if int(text) < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steklov",
@@ -386,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_modes.add_argument("--n", type=int, help="even grid size (fused run)")
     p_modes.add_argument("--k", type=int, default=10, help="mode count (fused run)")
     p_modes.add_argument("--modes", default="1", help="comma-separated 1-based mode indices")
-    p_modes.add_argument("--raster", type=int, default=64, help="raster resolution per axis")
+    p_modes.add_argument("--raster", type=_raster_size, default=64, help="points per axis (>= 2)")
     p_modes.add_argument("--points", help="CSV of x,y evaluation points (overrides --raster)")
     p_modes.add_argument("--output", default=".", help="output directory")
     p_modes.set_defaults(func=_cmd_modes)

@@ -26,11 +26,20 @@ Evaluation points must lie strictly inside the domain (winding number
 quadrature degrades within ~one grid spacing of the boundary; samples
 closer than 2 (2π/n) max|η'| to the curve are flagged rather than
 silently returned, and anything within 1e-6 of the curve should not
-be trusted at all.
+be trusted at all.  There the trapezoidal winding number is unreliable
+too, so the side is decided by the tangent at the nearest node (the
+domain lies to its left for both orientations).
+
+One pass serves every requested mode: per chunk of points it builds
+the weight block w once and takes from it the winding number
+Re Σ_j w_j / (in), the near-boundary mask, the denominator Σ_j w_j and
+the Cauchy sums of each mode, and it divides only on points inside
+and, for rasters, away from the boundary.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,40 +114,45 @@ class RasterField:
     flags: np.ndarray
 
 
-def _winding_many(grid: Grid, z: np.ndarray) -> np.ndarray:
-    return np.real((grid.eta1[None, :] / (grid.eta[None, :] - z[:, None])).sum(axis=1) / (1j * grid.n))
+def _extend(
+    bfs: list[BoundaryFunction], z: np.ndarray, keep_near: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inside, near, values) of boundary functions on one grid at points z.
 
-
-def _near_boundary_margin(grid: Grid) -> float:
-    return 2.0 * (2.0 * np.pi / grid.n) * float(np.max(grid.speed))
-
-
-def _classify(bf: BoundaryFunction, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(inside, near-boundary) masks for evaluation points.
-
-    The trapezoidal winding number is unreliable within about one grid
-    spacing of the curve; there the side is decided by the tangent at
-    the nearest node instead (the domain lies to the left of the curve
-    for both orientations).
+    ``values[i]`` extends ``bfs[i]`` to the inside points (without the
+    near ones unless ``keep_near``) and is NaN elsewhere.
     """
-    grid = bf.grid
-    target = 1.0 if bf.curve.kind is DomainKind.BOUNDED_INTERIOR else 0.0
-    margin = _near_boundary_margin(grid)
+    grid = bfs[0].grid
+    bounded = bfs[0].curve.kind is DomainKind.BOUNDED_INTERIOR
+    margin = 2.0 * (2.0 * np.pi / grid.n) * float(np.max(grid.speed))
     inside = np.empty(z.shape, dtype=bool)
     near = np.empty(z.shape, dtype=bool)
-    chunk = max(1, 2_000_000 // grid.n)
+    values = np.full((len(bfs), len(z)), np.nan, dtype=complex)
+    chunk = max(1, min(len(z), 2_000_000 // grid.n))  # bound the (points x nodes) block
+    # one buffer pair for every chunk: the differences become w in place
+    block, dist = np.empty((chunk, grid.n), dtype=complex), np.empty((chunk, grid.n))
     for lo in range(0, len(z), chunk):
         zc = z[lo : lo + chunk]
-        dist = np.abs(grid.eta[None, :] - zc[:, None])
-        jmin = np.argmin(dist, axis=1)
-        dmin = dist[np.arange(len(zc)), jmin]
-        near_c = dmin < margin
-        w = _winding_many(grid, zc)
-        inside_c = np.abs(w - target) < 0.5
+        w = np.subtract(grid.eta, zc[:, None], out=block[: len(zc)])
+        jmin = np.argmin(np.abs(w, out=dist[: len(zc)]), axis=1)
+        near_c = dist[np.arange(len(zc)), jmin] < margin
+        np.divide(grid.eta1, w, out=w)
+        total = w.sum(axis=1)
+        winding = np.real(total / (1j * grid.n))
         left = np.imag(np.conj(grid.eta1[jmin]) * (zc - grid.eta[jmin])) > 0.0
-        inside[lo : lo + chunk] = np.where(near_c, left, inside_c)
+        inside_c = np.where(near_c, left, np.abs(winding - (1.0 if bounded else 0.0)) < 0.5)
+        rows = inside_c if keep_near else inside_c & ~near_c
+        # a product per function: the columns of one BLAS product can change in
+        # the last bit with their number, and a mode must not depend on the others
+        for out, bf in zip(values[:, lo : lo + chunk], bfs):
+            if bounded:
+                out[rows] = (w @ bf.values)[rows] / total[rows]
+            else:
+                c = complex(bf.f_infinity)
+                out[rows] = c + (w @ (bf.values - c))[rows] / (1j * grid.n)
+        inside[lo : lo + chunk] = inside_c
         near[lo : lo + chunk] = near_c
-    return inside, near
+    return inside, near, values
 
 
 def cauchy_eval(bf: BoundaryFunction, z: np.ndarray) -> FieldSample:
@@ -150,28 +164,17 @@ def cauchy_eval(bf: BoundaryFunction, z: np.ndarray) -> FieldSample:
         If any point lies outside the domain (by winding number), or
         if the exterior rule is invoked without ``f_infinity``.
     """
+    return _samples([bf], z)[0]
+
+
+def _samples(bfs: list[BoundaryFunction], z: np.ndarray) -> list[FieldSample]:
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    inside, near = _classify(bf, z)
-    if not np.all(inside):
-        bad = z[~inside][0]
-        raise ExtensionError(f"point {bad} is not strictly inside the domain")
-
-    grid = bf.grid
-    if bf.curve.kind is DomainKind.UNBOUNDED_EXTERIOR and bf.f_infinity is None:
+    if bfs[0].curve.kind is DomainKind.UNBOUNDED_EXTERIOR and bfs[0].f_infinity is None:
         raise ExtensionError("exterior evaluation requires f_infinity (see estimate_f_infinity)")
-
-    values = np.empty(z.shape, dtype=complex)
-    chunk = max(1, 2_000_000 // grid.n)  # bound the (points x nodes) weight block
-    for lo in range(0, len(z), chunk):
-        zc = z[lo : lo + chunk]
-        w = grid.eta1[None, :] / (grid.eta[None, :] - zc[:, None])
-        if bf.curve.kind is DomainKind.BOUNDED_INTERIOR:
-            values[lo : lo + chunk] = (w @ bf.values) / w.sum(axis=1)
-        else:
-            c = complex(bf.f_infinity)
-            values[lo : lo + chunk] = c + (w @ (bf.values - c)) / (1j * grid.n)
-
-    return FieldSample(points=z, values=values, u=values.real, flags=near)
+    inside, near, values = _extend(bfs, z, keep_near=True)
+    if not np.all(inside):
+        raise ExtensionError(f"point {z[~inside][0]} is not strictly inside the domain")
+    return [FieldSample(points=z, values=v, u=v.real, flags=near) for v in values]
 
 
 def estimate_f_infinity(bf: BoundaryFunction, beta: complex | None = None) -> complex:
@@ -215,35 +218,45 @@ def mode_boundary_function(
     return bf
 
 
+def _mode_functions(spectrum: SteklovSpectrum, j, beta) -> list[BoundaryFunction]:
+    return [mode_boundary_function(spectrum, int(i), beta=beta) for i in np.atleast_1d(j)]
+
+
 def eigenmode_field(
     spectrum: SteklovSpectrum,
-    j: int,
+    j: int | Sequence[int],
     points: np.ndarray,
     beta: complex | None = None,
-) -> FieldSample:
-    """Eigenfunction values u_j(z) = Re f_j(z) at explicit points."""
-    bf = mode_boundary_function(spectrum, j, beta=beta)
-    return cauchy_eval(bf, points)
+) -> FieldSample | list[FieldSample]:
+    """Eigenfunction values u_j(z) = Re f_j(z) at explicit points.
+
+    For a sequence of mode indices, one sample per mode from one pass
+    over the points.
+    """
+    samples = _samples(_mode_functions(spectrum, j, beta), points)
+    return samples if np.ndim(j) else samples[0]
 
 
 def raster_field(
     spectrum: SteklovSpectrum,
-    j: int,
+    j: int | Sequence[int],
     nx: int,
     ny: int | None = None,
     pad: float = 0.05,
     beta: complex | None = None,
-) -> RasterField:
+) -> RasterField | list[RasterField]:
     """Eigenfunction on a bounding-box raster, NaN outside the domain.
 
     The box is the boundary's bounding box expanded by `pad` times its
     extent (exterior domains get a full extra extent so the field
     around the obstacle is visible).  Points outside the domain or
-    within the near-boundary margin are masked.
+    within the near-boundary margin are masked.  For a sequence of mode
+    indices, one field per mode from one pass over the raster; the
+    fields share x, y and the flags.
     """
     if ny is None:
         ny = nx
-    bf = mode_boundary_function(spectrum, j, beta=beta)
+    bfs = _mode_functions(spectrum, j, beta)
     grid = spectrum.grid
 
     xs_b, ys_b = grid.eta.real, grid.eta.imag
@@ -255,16 +268,7 @@ def raster_field(
     y = np.linspace(ys_b.min() - dy, ys_b.max() + dy, ny)
     zz = (x[None, :] + 1j * y[:, None]).ravel()
 
-    inside, near = _classify(bf, zz)
-    usable = inside & ~near
-
-    u = np.full(zz.shape, np.nan)
-    if np.any(usable):
-        sample = cauchy_eval(bf, zz[usable])
-        u[usable] = sample.u
-    return RasterField(
-        x=x,
-        y=y,
-        u=u.reshape(ny, nx),
-        flags=(inside & near).reshape(ny, nx),
-    )
+    inside, near, values = _extend(bfs, zz, keep_near=False)
+    flags = (inside & near).reshape(ny, nx)
+    fields = [RasterField(x=x, y=y, u=v.real.reshape(ny, nx), flags=flags) for v in values]
+    return fields if np.ndim(j) else fields[0]

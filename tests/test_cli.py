@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from steklov.cli import main
+import steklov
+from steklov.cli import fmt, main, write_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args):
@@ -112,6 +119,79 @@ def test_modes_outside_point_is_solver_error(tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ExtensionError"
+
+
+def _src_env():
+    src = str(Path(steklov.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
+def test_modes_raster_makes_no_runtime_warning(tmp_path):
+    # outside raster points have a zero Cauchy denominator; nothing may divide by it
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "steklov.cli", "modes",
+            "--curve", "kite", "--alpha=-0.35,0.05", "--n", "512", "--k", "4", "--modes", "1",
+            "--raster", "120", "--output", str(tmp_path)]
+    proc = subprocess.run(argv, env=_src_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("source", ["fused", "spectrum"])
+def test_modes_bad_index_is_config_error(tmp_path, capsys, source):
+    base = ["--curve", "disk", "--n", "64", "--k", "2"]
+    if source == "spectrum":
+        assert run_cli(["solve", *base, "--output", str(tmp_path)]) == 0
+        base = ["--spectrum", str(tmp_path / "spectrum.json")]
+    capsys.readouterr()
+    out = tmp_path / "modes"
+    assert run_cli(["modes", *base, "--modes", "1,3", "--output", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+    assert list(out.glob("mode_*.csv")) == []
+
+
+@pytest.mark.parametrize("size", ["0", "1", "-3"])
+def test_modes_raster_below_two_rejected(tmp_path, capsys, size):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["modes", "--curve", "disk", "--n", "64", "--k", "2", "--raster", size,
+                 "--output", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--raster: must be at least 2" in capsys.readouterr().err
+    assert list(tmp_path.glob("mode_*.csv")) == []
+
+
+def test_write_csv_matches_per_cell_rendering(tmp_path):
+    def per_cell(rows):
+        return "".join(
+            ",".join(fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row) + "\n"
+            for row in rows
+        )
+
+    mixed = [
+        [1, float("nan"), "", -0.0, 1e-300],
+        [np.int64(7), np.float64(-2.5e17), np.float32(0.1), 3, True],
+        [2, 0.1, 1.0 / 3.0, "", np.nan],
+        [np.int32(-4), np.float64(np.inf), -1e-5, 12345678901234567, 0.0],
+    ]
+    operator = np.asfortranarray(np.random.default_rng(3).normal(size=(5, 5)) * 1e-7)
+    operator[0, 0], operator[1, 1], operator[2, 2] = np.nan, -0.0, 1e300
+    for rows, as_rows in ((mixed, mixed), (operator, operator), ([], [])):
+        write_csv(tmp_path / "t.csv", ["a", "b", "c", "d", "e"], rows)
+        assert (tmp_path / "t.csv").read_text() == "a,b,c,d,e\n" + per_cell(as_rows)
+
+
+def test_render_modes_script_matches_cli(tmp_path):
+    script_dir, cli_dir = tmp_path / "script", tmp_path / "cli"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "render_modes.py"), "--curve", "kite", "--n",
+         "64", "--modes", "1,2", "--raster", "16", "--output", str(script_dir)],
+        env=_src_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert run_cli(["modes", "--curve", "kite", "--n", "64", "--k", "2", "--modes", "1,2",
+                    "--raster", "16", "--output", str(cli_dir)]) == 0
+    for name in ("mode_1.csv", "mode_2.csv"):
+        assert (script_dir / name).read_bytes() == (cli_dir / name).read_bytes()
 
 
 def test_converge_csv(tmp_path):

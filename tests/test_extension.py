@@ -222,3 +222,36 @@ def test_raster_field_exterior(kite_exterior):
     ras = raster_field(spec, 1, 24)
     assert np.any(np.isfinite(ras.u))
     assert np.any(np.isnan(ras.u))  # obstacle interior masked
+
+
+@pytest.mark.parametrize(
+    "curve, n",
+    [("kite_bounded", 128), ("kite_exterior", 128), ("disk", 64)],
+)
+def test_raster_field_many_modes_match_single_calls(curve, n, request):
+    spec = solve_spectrum(request.getfixturevalue(curve), n, 4)
+    fields = raster_field(spec, [1, 2, 3, 4], 24)
+    assert len(fields) == 4
+    for j, ras in enumerate(fields, start=1):
+        single = raster_field(spec, j, 24)
+        assert ras.x is fields[0].x and ras.y is fields[0].y and ras.flags is fields[0].flags
+        assert np.array_equal(ras.x, single.x) and np.array_equal(ras.y, single.y)
+        assert np.array_equal(ras.flags, single.flags)
+        assert np.array_equal(ras.u, single.u, equal_nan=True)
+        # usable raster points agree with the public point evaluator
+        usable = np.isfinite(ras.u)
+        zz = (ras.x[None, :] + 1j * ras.y[:, None])[usable]
+        u = cauchy_eval(mode_boundary_function(spec, j), zz).u
+        assert np.max(np.abs(u - ras.u[usable])) <= 1e-13 * np.max(np.abs(u))
+
+
+def test_eigenmode_field_many_modes_match_single_calls(kite_exterior):
+    spec = solve_spectrum(kite_exterior, 128, 3)
+    pts = np.array([2.0 + 1.0j, -3.0 + 0.5j, 0.1 - 2.5j])
+    samples = eigenmode_field(spec, (1, 3), pts)
+    for j, sample in zip((1, 3), samples):
+        single = eigenmode_field(spec, j, pts)
+        assert np.array_equal(sample.values, single.values)
+        assert np.array_equal(sample.flags, single.flags)
+    with pytest.raises(ExtensionError):
+        eigenmode_field(spec, [1, 2], np.array([0.0 + 0.0j]))  # inside the obstacle
