@@ -4,8 +4,9 @@ The Dirichlet-to-Neumann operator of a smooth simply connected domain
 is discretized on an equidistant boundary grid as ρ D E, where D is
 spectral differentiation, E the (generalized) harmonic-conjugation
 matrix built from a boundary integral equation, and ρ = 1/|η'| the
-arclength weight.  Its low eigenvalues are the Steklov spectrum;
-eigenfunctions extend into the domain by the Cauchy integral.
+arclength weight.  Its low eigenvalues are the Steklov spectrum; the
+solver finds them from an (n+2)-square pencil that never forms E.
+Eigenfunctions extend into the domain by the Cauchy integral.
 """
 
 from .curves import (
@@ -41,7 +42,7 @@ from .operators import (
     nystrom_matrices,
     wittich_matrix,
 )
-from .spectrum import SteklovSpectrum, assemble_q, solve_spectrum
+from .spectrum import SteklovSpectrum, UnderResolvedWarning, assemble_q, solve_spectrum
 from .studies import (
     ConvergenceRecord,
     CrossingResult,
@@ -73,6 +74,7 @@ __all__ = [
     "InequalityRecord",
     "SteklovSpectrum",
     "SweepRecord",
+    "UnderResolvedWarning",
     "apply_diff_fast",
     "area",
     "assemble_q",

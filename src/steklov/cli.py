@@ -42,7 +42,7 @@ from .studies import (
     parameter_sweep,
 )
 
-SCHEMA = "steklov/1"
+SCHEMA = "steklov/2"
 
 
 class ConfigError(Exception):
@@ -164,7 +164,7 @@ def _spectrum_payload(spec: SteklovSpectrum) -> dict:
         "lambdas": list(spec.lambdas),
         "lambdas_scaled": list(spec.lambdas_scaled) if spec.lambdas_scaled is not None else None,
         "residuals": list(spec.residuals),
-        "zero_modes": list(spec.zero_modes),
+        "trace_tail": list(spec.trace_tail),
         "perimeter": spec.perimeter,
         "area": spec.area,
     }
@@ -229,7 +229,7 @@ def _cmd_solve(args) -> int:
 def _spectrum_for_modes(args, modes: list[int]) -> SteklovSpectrum:
     if args.spectrum:
         payload = json.loads(Path(args.spectrum).read_text())
-        if payload.get("schema") != SCHEMA:
+        if payload.get("schema") not in ("steklov/1", SCHEMA):  # curve, n, k read alike
             raise CurveError(f"unsupported spectrum schema {payload.get('schema')!r}")
         n, k = int(payload["n"]), int(payload["k"])
         curve = curves.curve_from_spec(payload["curve"], n=n)
@@ -247,9 +247,12 @@ def _cmd_modes(args) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     modes = [int(j) for j in args.modes.split(",")]
-    spec = _spectrum_for_modes(args, modes)
     if args.points:
         data = np.loadtxt(args.points, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[0] == 0 or data.shape[1] < 2:
+            raise ConfigError(f"--points file {args.points} needs x,y rows after its header")
+    spec = _spectrum_for_modes(args, modes)
+    if args.points:
         fields = eigenmode_field(spec, modes, data[:, 0] + 1j * data[:, 1])
     else:
         fields = raster_field(spec, modes, args.raster)

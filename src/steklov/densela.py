@@ -1,10 +1,10 @@
 """Minimal dense linear algebra: partial-pivot LU and small-eigenvalue extraction.
 
 `smallest_magnitude_eigs` returns the k eigenpairs of smallest modulus
-of a real square matrix whose relevant spectrum is real (as for the
-shifted Dirichlet-to-Neumann matrices solved here).  It runs
-implicitly restarted Arnoldi iteration on A^{-1} (ARPACK), driven by a
-single LU factorization of A, at every matrix size; ARPACK's
+of a real square matrix, or of a real pencil A x = λ M x, whose
+relevant spectrum is real (as for the Steklov pencil solved here).  It
+runs implicitly restarted Arnoldi iteration on A^{-1} M (ARPACK),
+driven by a single LU factorization of A, at every matrix size; ARPACK's
 machine-precision tolerance and default restart budget are used.  The
 starting vector is the all-ones vector so repeated runs are bitwise
 reproducible.
@@ -96,7 +96,7 @@ def _order_and_realify(
     may come back from the solver as a complex-conjugate pair (tiny
     imaginary values, fully complex vectors v and conj(v)); Re v and
     Im v then span the pair's invariant subspace and replace the two
-    columns after orthonormalization.
+    columns after orthonormalization; a pair cut by k keeps the first.
     """
     order = np.argsort(np.abs(values), kind="stable")[:k]
     values = values[order]
@@ -119,7 +119,7 @@ def _order_and_realify(
             real_vectors[:, j] = w.real / np.linalg.norm(w.real)
             j += 1
             continue
-        pair_ok = j + 1 < k and abs(np.conj(values[j + 1]) - values[j]) <= _IMAG_TOL * max(
+        pair_ok = j + 1 == k or abs(np.conj(values[j + 1]) - values[j]) <= _IMAG_TOL * max(
             1.0, abs(values[j])
         )
         if not pair_ok:
@@ -128,8 +128,7 @@ def _order_and_realify(
                 "conjugate pair; expected a real eigenbasis"
             )
         basis, _ = np.linalg.qr(np.column_stack([v.real, v.imag]))
-        real_vectors[:, j] = basis[:, 0]
-        real_vectors[:, j + 1] = basis[:, 1]
+        real_vectors[:, j : j + 2] = basis[:, : k - j]
         j += 2
 
     return values.real.astype(complex), real_vectors
@@ -143,18 +142,22 @@ class EigenPairSet:
     vectors: np.ndarray
 
 
-def smallest_magnitude_eigs(a: np.ndarray, k: int) -> EigenPairSet:
-    """Compute the k smallest-modulus eigenpairs of a real square matrix.
+def smallest_magnitude_eigs(a: np.ndarray | LUFactors, k: int, m=None) -> EigenPairSet:
+    """Compute the k smallest-modulus eigenpairs of A x = λ M x.
 
     Shift-invert Arnoldi: ARPACK finds the k largest-modulus
-    eigenvalues of A^{-1}, applied through one LU factorization of A.
+    eigenvalues 1/λ of A^{-1} M, applied through one LU factorization
+    of A.  M = I gives the standard problem.
 
     Parameters
     ----------
-    a : ndarray
-        Real square matrix with (numerically) real target eigenvalues.
+    a : ndarray or LUFactors
+        Real square matrix with (numerically) real target eigenvalues,
+        or its LU factors.
     k : int
         Number of eigenpairs, 1 <= k <= n - 2.
+    m : callable or None
+        x -> M x for the right-hand matrix; None is the identity.
 
     Raises
     ------
@@ -166,15 +169,13 @@ def smallest_magnitude_eigs(a: np.ndarray, k: int) -> EigenPairSet:
     ComplexEigenvalueError
         A requested eigenvalue is complex beyond rounding level.
     """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    factors = a if isinstance(a, LUFactors) else lu_factor(a)
+    n = factors.n
     if not 1 <= k <= n - 2:
         raise ValueError(f"k must satisfy 1 <= k <= n - 2, got k={k}, n={n}")
 
-    factors = lu_factor(a)
-    op = LinearOperator((n, n), matvec=factors.solve, dtype=float)
+    matvec = factors.solve if m is None else lambda x: factors.solve(m(x))
+    op = LinearOperator((n, n), matvec=matvec, dtype=float)
     ncv = min(n, max(2 * k + 4, 20))
     try:
         inv_values, vectors = _arpack_eigs(op, k=k, which="LM", v0=np.ones(n), ncv=ncv)

@@ -21,7 +21,8 @@ For an even grid size n the module assembles
   adds back depend on i-j only and enter C as a single circulant;
 * ``E = -(I - B)^{-1} C`` — the conjugation matrix mapping the
   boundary values of Re f to those of Im f, for f analytic in the
-  domain with Im f(α) = 0 (bounded) or Im f(∞) = 0 (exterior).
+  domain with Im f(α) = 0 (bounded) or Im f(∞) = 0 (exterior);
+* the (n+2)-square Steklov pencil matrix (`build_pencil`), which needs no E.
 
 With A(t) = η(t) - α for bounded domains and A(t) = 1 for exterior
 ones, the kernels are
@@ -49,13 +50,14 @@ import numpy as np
 from scipy.linalg import circulant
 
 from .curves import BoundaryCurve, DomainKind, Grid, build_grid
-from .densela import SingularMatrixError, lu_factor
+from .densela import LUFactors, SingularMatrixError, lu_factor
 
 __all__ = [
     "DiscretizationError",
     "DtnDiscretization",
     "apply_diff_fast",
     "build_dtn",
+    "build_pencil",
     "fourier_diff_matrix",
     "kernel_values",
     "nystrom_matrices",
@@ -104,21 +106,23 @@ def fourier_diff_matrix(n: int) -> np.ndarray:
     return np.ascontiguousarray(d.real)
 
 
-def apply_diff_fast(values: np.ndarray) -> np.ndarray:
+def apply_diff_fast(values: np.ndarray, pinv: bool = False) -> np.ndarray:
     """Apply the spectral differentiation operator via the real FFT.
 
     Equals fourier_diff_matrix(n) @ values to rounding; O(n log n) per
     column.  Accepts a vector or a matrix of columns (axis 0 is the
     grid).  The multiplier is i k for k = 0 .. n/2 with the Nyquist
-    slot set to zero.
+    slot set to zero; with `pinv` it is 1/(i k), zero at k = 0 and
+    n/2, which applies the pseudo-inverse D⁺.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     _check_even(n)
-    ik = 1j * np.arange(n // 2 + 1)
-    ik[-1] = 0.0
+    k = np.arange(1, n // 2)
+    mult = np.zeros(n // 2 + 1, dtype=complex)
+    mult[1:-1] = -1j / k if pinv else 1j * k
     coef = np.fft.rfft(values, axis=0)
-    coef *= ik.reshape((-1,) + (1,) * (values.ndim - 1))
+    coef *= mult.reshape((-1,) + (1,) * (values.ndim - 1))
     return np.fft.irfft(coef, n=n, axis=0)
 
 
@@ -190,7 +194,8 @@ def kernel_values(curve: BoundaryCurve, s, t):
     return n_val, mt_val
 
 
-def nystrom_matrices(grid: Grid, curve: BoundaryCurve) -> tuple[np.ndarray, np.ndarray]:
+def nystrom_matrices(grid: Grid, curve: BoundaryCurve,
+                     out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoidal Nyström matrices (B, C) on the grid.
 
     B_ij = (2π/n) N(t_i, t_j); C = -K + C̃ with C̃_ij = (2π/n) M̃(t_i, t_j).
@@ -203,7 +208,9 @@ def nystrom_matrices(grid: Grid, curve: BoundaryCurve) -> tuple[np.ndarray, np.n
     one circulant with column (1/n) cot(m π / n) - K_m0.
 
     Both matrices are column-major, the layout LAPACK factorizes and
-    solves with, so `build_dtn` does not transpose them.
+    solves with, so `build_dtn` does not transpose them.  C is written
+    into `out` when it is given (an n×n view, such as the leading block
+    of the pencil matrix) and returned as that view.
     """
     n = grid.n
     h = 2.0 * np.pi / n
@@ -229,8 +236,8 @@ def nystrom_matrices(grid: Grid, curve: BoundaryCurve) -> tuple[np.ndarray, np.n
     diag = (h / np.pi) * _log_derivative_term(curve, grid.t)
     b = kern.imag.copy(order="F")
     np.fill_diagonal(b, diag.imag)
-    c = circulant(shift[-np.arange(n) % n]).T  # c_ij = shift[(i - j) mod n]
-    c += kern.real
+    # c_ij = shift[(i - j) mod n]
+    c = np.add(circulant(shift[-np.arange(n) % n]).T, kern.real, out=out)
     np.fill_diagonal(c, diag.real)
     return b, c
 
@@ -290,3 +297,21 @@ def build_dtn(curve: BoundaryCurve, n: int) -> DtnDiscretization:
         E=-factors.solve(c),
     )
 
+
+def build_pencil(curve: BoundaryCurve, n: int) -> tuple[Grid, np.ndarray, np.ndarray, LUFactors]:
+    """Grid, B, the (n+2)-square Steklov pencil matrix A and its LU for (curve, n).
+
+    A = [[C, (I - B) N], [Nᵀ W, 0]] with N = [1, alt], alt_j = (-1)^j,
+    and W = diag|η'|; C is written straight into A's column-major buffer.
+    """
+    grid = build_grid(curve, n)
+    a = np.zeros((n + 2, n + 2), order="F")
+    b, _ = nystrom_matrices(grid, curve, out=a[:n, :n])
+    null = np.column_stack((np.ones(n), (-1.0) ** np.arange(n)))
+    a[:n, n:] = null - b @ null
+    a[n:, :n] = (null * grid.speed[:, None]).T
+    try:
+        factors = lu_factor(a)
+    except SingularMatrixError as exc:
+        raise DiscretizationError(f"the Steklov pencil is singular at n={n}; increase n") from exc
+    return grid, b, a, factors

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import steklov
+import steklov.cli
+import steklov.operators
 from steklov.cli import fmt, main, write_csv
+from steklov.densela import SingularMatrixError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,11 +24,13 @@ def test_solve_disk_json(tmp_path, capsys):
     code = run_cli(["solve", "--curve", "disk", "--n", "64", "--k", "10", "--output", str(tmp_path)])
     assert code == 0
     payload = json.loads((tmp_path / "spectrum.json").read_text())
-    assert payload["schema"] == "steklov/1"
+    assert payload["schema"] == "steklov/2"
     assert payload["n"] == 64
     expected = [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
     assert np.allclose(payload["lambdas"], expected, atol=1e-12)
-    assert len(payload["zero_modes"]) == 2
+    assert "zero_modes" not in payload
+    assert len(payload["trace_tail"]) == 10
+    assert max(payload["trace_tail"]) <= 1e-12  # the disk's traces are trigonometric
     out = capsys.readouterr().out
     assert out.count("lambda_") == 10
 
@@ -93,6 +98,34 @@ def test_modes_roundtrip_matches_fused_run(tmp_path):
         assert (fused_dir / name).read_bytes() == (reload_dir / name).read_bytes()
 
 
+def test_modes_reads_steklov_1_spectrum(tmp_path):
+    # modes --spectrum reads only curve, n and k, which the old schema also holds
+    solve_dir, fused_dir, reload_dir = tmp_path / "solve", tmp_path / "fused", tmp_path / "reload"
+    base = ["--curve", "ellipse", "--params", "r=2", "--n", "96", "--k", "2"]
+    assert run_cli(["solve", *base, "--output", str(solve_dir)]) == 0
+    path = solve_dir / "spectrum.json"
+    payload = json.loads(path.read_text())
+    payload["schema"] = "steklov/1"
+    payload["zero_modes"] = [-1e-15, 1e-15]
+    del payload["trace_tail"]
+    path.write_text(json.dumps(payload))
+    assert run_cli(["modes", *base, "--modes", "2", "--raster", "12",
+                    "--output", str(fused_dir)]) == 0
+    assert run_cli(["modes", "--spectrum", str(path), "--modes", "2", "--raster", "12",
+                    "--output", str(reload_dir)]) == 0
+    assert (fused_dir / "mode_2.csv").read_bytes() == (reload_dir / "mode_2.csv").read_bytes()
+
+
+def test_singular_pencil_is_solver_error(tmp_path, capsys, monkeypatch):
+    def singular(a):
+        raise SingularMatrixError("zero pivot")
+
+    monkeypatch.setattr(steklov.operators, "lu_factor", singular)
+    code = run_cli(["solve", "--curve", "disk", "--n", "32", "--k", "2", "--output", str(tmp_path)])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "DiscretizationError"
+
+
 def test_modes_field_csv_shape(tmp_path):
     assert run_cli(["modes", "--curve", "disk", "--n", "64", "--k", "2", "--modes", "1",
                     "--raster", "16", "--output", str(tmp_path)]) == 0
@@ -109,6 +142,22 @@ def test_modes_with_points_file(tmp_path):
                     "--points", str(pts), "--output", str(tmp_path)]) == 0
     lines = (tmp_path / "mode_1.csv").read_text().strip().splitlines()
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("text", ["x\n0.1\n", "x,y\n"], ids=["one-column", "header-only"])
+def test_modes_malformed_points_file_is_config_error(tmp_path, capsys, monkeypatch, text):
+    def no_solve(*args):
+        raise AssertionError("solved before the points file was checked")
+
+    monkeypatch.setattr(steklov.cli, "solve_spectrum", no_solve)
+    pts = tmp_path / "pts.csv"
+    pts.write_text(text)
+    out = tmp_path / "modes"
+    code = run_cli(["modes", "--curve", "disk", "--n", "32", "--k", "2", "--modes", "1",
+                    "--points", str(pts), "--output", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+    assert list(out.glob("mode_*.csv")) == []
 
 
 def test_modes_outside_point_is_solver_error(tmp_path, capsys):

@@ -131,6 +131,18 @@ def test_complex_spectrum_rejected():
         smallest_magnitude_eigs(a, k=2)
 
 
+def test_nearly_degenerate_pair_cut_by_k():
+    # 1 ± 1e-12 i is a real double eigenvalue to rounding; k = 1 keeps one
+    # real vector of its invariant subspace
+    pair = np.array([[1.0, 1e-12], [-1e-12, 1.0]])
+    a = np.block([[pair, np.zeros((2, 4))], [np.zeros((4, 2)), np.diag([5.0, 6.0, 7.0, 8.0])]])
+    pairs = smallest_magnitude_eigs(a, k=1)
+    v = pairs.vectors[:, 0]
+    assert pairs.values[0].real == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.norm(a @ v - v) <= 1e-11
+
+
 def test_k_bounds():
     a = np.diag([1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValueError):

@@ -101,6 +101,19 @@ def test_apply_diff_fast_on_columns(rng):
         assert np.allclose(apply_diff_fast(m), d @ m, atol=1e-12)
 
 
+def test_apply_diff_pinv_inverts_d_off_its_null_space(rng):
+    # D D⁺ = D⁺ D = the projection that removes the constant and alt = ((-1)^j)
+    for n in (32, 30):
+        m = rng.normal(size=(n, 3))
+        alt = (-1.0) ** np.arange(n)
+        proj = m - m.mean(axis=0) - np.outer(alt, alt @ m) / n
+        d = fourier_diff_matrix(n)
+        assert np.allclose(d @ apply_diff_fast(m, pinv=True), proj, atol=1e-12)
+        assert np.allclose(apply_diff_fast(d @ m, pinv=True), proj, atol=1e-12)
+    t = nodes(32)
+    assert np.max(np.abs(apply_diff_fast(np.cos(3 * t), pinv=True) - np.sin(3 * t) / 3)) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # Wittich conjugation matrix
 # ---------------------------------------------------------------------------

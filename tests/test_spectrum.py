@@ -1,10 +1,23 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from steklov import DomainKind, builtin_families, make_builtin, scale_to_perimeter
+import steklov.densela
+import steklov.operators
+import steklov.spectrum
+from steklov import BoundaryCurve, DomainKind, builtin_families, make_builtin, scale_to_perimeter
 from steklov.curves import with_alpha
-from steklov.operators import build_dtn, fourier_diff_matrix, wittich_matrix
-from steklov.spectrum import assemble_q, solve_spectrum
+from steklov.operators import DiscretizationError, build_dtn, fourier_diff_matrix, wittich_matrix
+from steklov.spectrum import (
+    TRACE_TAIL_WARN,
+    UnderResolvedWarning,
+    assemble_q,
+    solve_spectrum,
+)
+
+BOUNDED, EXTERIOR = DomainKind.BOUNDED_INTERIOR, DomainKind.UNBOUNDED_EXTERIOR
 
 DISK_FIRST_TEN = np.array([1, 1, 2, 2, 3, 3, 4, 4, 5, 5], dtype=float)
 
@@ -60,12 +73,11 @@ def test_apply_dtn_disk_modes(disk):
 def test_disk_spectrum_exact(disk):
     spec = solve_spectrum(disk, 32, 10)
     assert np.max(np.abs(spec.lambdas - DISK_FIRST_TEN) / DISK_FIRST_TEN) <= 1e-12
-    assert np.max(np.abs(spec.zero_modes)) <= 1e-8
     assert spec.lambdas_scaled == pytest.approx(list(DISK_FIRST_TEN * np.sqrt(np.pi)), abs=1e-10)
 
 
 def test_disk_spectrum_small_grid(disk):
-    # 10 nonzero modes plus the zero pair resolve already at n = 24
+    # 10 nonzero modes resolve already at n = 24
     spec = solve_spectrum(disk, 24, 10)
     assert np.max(np.abs(spec.lambdas - DISK_FIRST_TEN) / DISK_FIRST_TEN) <= 1e-12
 
@@ -82,6 +94,42 @@ def test_trace_normalization_and_sign(disk):
 def test_residual_bound(kite_bounded):
     spec = solve_spectrum(kite_bounded, 256, 10)
     assert np.all(spec.residuals <= 1e-9 * (1.0 + spec.lambdas))
+
+
+def test_one_factorization_and_neither_e_nor_q(kite_bounded, monkeypatch):
+    lu_factor, solve = steklov.densela.lu_factor, steklov.densela.LUFactors.solve
+    shapes, rhs_ndims = [], []
+
+    def counting_lu(a):
+        shapes.append(np.shape(a))
+        return lu_factor(a)
+
+    def counting_solve(self, b):
+        rhs_ndims.append(np.ndim(b))
+        return solve(self, b)
+
+    def forbidden(*args):
+        raise AssertionError("the solve formed E or Q")
+
+    monkeypatch.setattr(steklov.operators, "lu_factor", counting_lu)
+    monkeypatch.setattr(steklov.densela, "lu_factor", counting_lu)
+    monkeypatch.setattr(steklov.densela.LUFactors, "solve", counting_solve)
+    monkeypatch.setattr(steklov.operators, "build_dtn", forbidden)
+    monkeypatch.setattr(steklov.spectrum, "build_dtn", forbidden)
+    monkeypatch.setattr(steklov.spectrum, "assemble_q", forbidden)
+    solve_spectrum(kite_bounded, 128, 6)
+    assert shapes == [(130, 130)]
+    assert set(rhs_ndims) == {1}  # Arnoldi steps only; no matrix solve
+
+
+def test_k_may_cut_a_degenerate_pair(g1_curve):
+    # g1's eigenvalues come in pairs equal to ~1e-13 relative, which Arnoldi
+    # may return as complex-conjugate pairs; an odd k cuts one of them
+    full = solve_spectrum(g1_curve, 256, 4)
+    for k in (1, 3):
+        spec = solve_spectrum(g1_curve, 256, k)
+        assert np.max(np.abs(spec.lambdas - full.lambdas[:k]) / full.lambdas[:k]) <= 1e-12
+        assert np.all(spec.residuals <= 1e-9 * (1.0 + spec.lambdas))
 
 
 def test_conjugates_are_e_times_traces(kite_bounded):
@@ -111,8 +159,8 @@ def test_band_headroom_precondition(disk):
 
 def test_arnoldi_path_matches_dense_path():
     # Oracle: every eigenvalue of Q by dense QR, with the two of least
-    # modulus (the zero pair) dropped; k = 6 includes the disk's double
-    # eigenvalues 1, 2, 3.
+    # modulus (the zero pair, which the pencil does not have) dropped;
+    # k = 6 includes the disk's double eigenvalues 1, 2, 3.
     k = 6
     for family in builtin_families():
         for kind in DomainKind:
@@ -129,6 +177,82 @@ def test_spectrum_independent_of_alpha(g1_curve):
     spec_a = solve_spectrum(g1_curve, 512, 8)
     spec_b = solve_spectrum(with_alpha(g1_curve, 8.5), 512, 8)
     assert np.max(np.abs(spec_a.lambdas - spec_b.lambdas)) <= 1e-10
+
+
+def _similar(curve, a, z0):
+    """Image of `curve` under z -> a z + z0 (complex a: scaling and rotation)."""
+    return BoundaryCurve(
+        name=curve.name,
+        eta=lambda t: a * curve.eta(t) + z0,
+        eta1=lambda t: a * curve.eta1(t),
+        eta2=lambda t: a * curve.eta2(t),
+        kind=curve.kind,
+        alpha=a * curve.alpha + z0,
+    )
+
+
+@pytest.mark.parametrize("family,alpha_shift", [("g1", 0.9j), ("g2", 0.08), ("kite", 0.15 + 0.1j)])
+def test_similarity_and_base_point_invariance(family, alpha_shift):
+    # λ(aG) = λ(G)/|a| under scaling, rotation and translation; λ does not
+    # depend on α.  Exact for the discretization, so to rounding at n = 256.
+    curve = make_builtin(family)
+    lam = solve_spectrum(curve, 256, 10).lambdas
+    for a, z0 in ((2.5, 0.0), (0.3, 0.0), (np.exp(0.7j), 0.0), (1.0, 3.0 - 2.0j),
+                  (1.7 * np.exp(-2.1j), -5.0 + 1.0j)):
+        got = solve_spectrum(_similar(curve, a, z0), 256, 10).lambdas
+        assert np.max(np.abs(got * abs(a) - lam) / lam) <= 1e-12, (family, a, z0)
+    got = solve_spectrum(with_alpha(curve, curve.alpha + alpha_shift), 256, 10).lambdas
+    assert np.max(np.abs(got - lam) / lam) <= 1e-12, (family, "alpha")
+
+
+# ---------------------------------------------------------------------------
+# Under-resolution
+# ---------------------------------------------------------------------------
+
+THIN = ("ellipse", {"r": 50.0})
+
+
+@pytest.mark.parametrize(
+    "family,params,kind,n,k",
+    [(*THIN, BOUNDED, n, 4) for n in (32, 64, 128, 256)]
+    + [(*THIN, EXTERIOR, n, 4) for n in (128, 256)]
+    + [("g1", {}, BOUNDED, 16, 3)],
+)
+def test_under_resolved_solve_warns(family, params, kind, n, k):
+    # eigenvalue errors here run from 4e-5 (bounded, n = 256) to 37% (exterior, n = 128)
+    with pytest.warns(UnderResolvedWarning):
+        spec = solve_spectrum(make_builtin(family, params, kind=kind), n, k)
+    assert np.max(spec.trace_tail) > TRACE_TAIL_WARN
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_coarse_thin_exterior_ellipse_raises(n):
+    with pytest.raises(DiscretizationError, match="non-positive eigenvalue"):
+        solve_spectrum(make_builtin(*THIN, kind=EXTERIOR), n, 4)
+
+
+def _benchmark_size_solves():
+    # solve-large at its full and self-test sizes, the modes workload
+    # (full and self-test) and the crossing workload's ellipse range
+    for n in (2048, 512):
+        for family, kind in (("g1", BOUNDED), ("g2", BOUNDED), ("kite", BOUNDED), ("kite", EXTERIOR)):
+            yield make_builtin(family, kind=kind), n, 10
+    for n in (512, 128):
+        for kind in (BOUNDED, EXTERIOR):
+            yield make_builtin("kite", kind=kind), n, 4
+    for n in (256, 128):
+        for r in (1.35, 3.65):
+            yield scale_to_perimeter("ellipse", {"r": r}, 2 * math.pi, n), n, 4
+
+
+def test_resolved_solves_make_no_warning():
+    # the criterion fixtures are pinned by test_acceptance's warning filter
+    cases = [(make_builtin("g2"), 256, 10), *_benchmark_size_solves()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for curve, n, k in cases:
+            spec = solve_spectrum(curve, n, k)
+            assert np.max(spec.trace_tail) <= TRACE_TAIL_WARN
 
 
 @pytest.mark.parametrize(
