@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -49,8 +50,23 @@ class ConfigError(Exception):
     """Invalid command-line request."""
 
 
-_CONFIG_ERRORS = (ConfigError, CurveError, StudyError, ValueError, KeyError, OSError)
+_CONFIG_ERRORS = (ConfigError, CurveError, StudyError, OSError)
 _SOLVER_ERRORS = (DiscretizationError, EigenSolveError, ExtensionError, np.linalg.LinAlgError)
+
+
+@contextmanager
+def _reading(what: str):  # a ValueError or KeyError in user input is a ConfigError
+    try:
+        yield
+    except CurveError:
+        raise
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"malformed {what}: {exc!r}") from exc
+
+
+def _check_size(n: int | None, k: int) -> None:
+    if k < 1 or (n is not None and (n < 4 or n % 2 or k + 2 > n // 2)):
+        raise ConfigError(f"need an even grid size n >= 4 and 1 <= k <= n/2 - 2, got n={n}, k={k}")
 
 
 def fmt(x: float) -> str:
@@ -147,7 +163,8 @@ def _curve_spec_from_args(args) -> dict:
 
 
 def _build_curve(args, n: int):
-    return curves.curve_from_spec(_curve_spec_from_args(args), n=n)
+    with _reading("curve options or --config"):
+        return curves.curve_from_spec(_curve_spec_from_args(args), n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +218,10 @@ def _dump_operators(outdir: Path, curve, n: int) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_solve(args) -> int:
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_solve(args, outdir: Path) -> int:
     if args.scaled and args.exterior:
         raise CurveError("--scaled applies to bounded domains only")
+    _check_size(args.n, args.k)
     curve = _build_curve(args, args.n)
     spec = solve_spectrum(curve, args.n, args.k)
     if args.format == "json":
@@ -228,14 +244,17 @@ def _cmd_solve(args) -> int:
 
 def _spectrum_for_modes(args, modes: list[int]) -> SteklovSpectrum:
     if args.spectrum:
-        payload = json.loads(Path(args.spectrum).read_text())
-        if payload.get("schema") not in ("steklov/1", SCHEMA):  # curve, n, k read alike
-            raise CurveError(f"unsupported spectrum schema {payload.get('schema')!r}")
-        n, k = int(payload["n"]), int(payload["k"])
-        curve = curves.curve_from_spec(payload["curve"], n=n)
+        with _reading(f"--spectrum {args.spectrum}"):
+            payload = json.loads(Path(args.spectrum).read_text())
+            if payload.get("schema") not in ("steklov/1", SCHEMA):  # curve, n, k read alike
+                raise CurveError(f"unsupported spectrum schema {payload.get('schema')!r}")
+            n, k = int(payload["n"]), int(payload["k"])
+            _check_size(n, k)
+            curve = curves.curve_from_spec(payload["curve"], n=n)
     elif args.n is None:
         raise CurveError("modes requires --n (or --spectrum to reuse a solve)")
     else:
+        _check_size(args.n, args.k)
         n, k, curve = args.n, args.k, _build_curve(args, args.n)
     for j in modes:
         if not 1 <= j <= k:
@@ -243,12 +262,12 @@ def _spectrum_for_modes(args, modes: list[int]) -> SteklovSpectrum:
     return solve_spectrum(curve, n, k)
 
 
-def _cmd_modes(args) -> int:
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    modes = [int(j) for j in args.modes.split(",")]
+def _cmd_modes(args, outdir: Path) -> int:
+    with _reading("--modes"):
+        modes = [int(j) for j in args.modes.split(",")]
     if args.points:
-        data = np.loadtxt(args.points, delimiter=",", skiprows=1, ndmin=2)
+        with _reading(f"--points {args.points}"):
+            data = np.loadtxt(args.points, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[0] == 0 or data.shape[1] < 2:
             raise ConfigError(f"--points file {args.points} needs x,y rows after its header")
     spec = _spectrum_for_modes(args, modes)
@@ -260,10 +279,10 @@ def _cmd_modes(args) -> int:
     return 0
 
 
-def _cmd_converge(args) -> int:
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    n_list = [int(v) for v in args.n_list.split(",")]
+def _cmd_converge(args, outdir: Path) -> int:
+    with _reading("--n-list"):
+        n_list = [int(v) for v in args.n_list.split(",")]
+    _check_size(min(n_list), args.k)  # build_grid rejects an odd n, and n_ref > max(n_list)
     curve = _build_curve(args, args.n_ref)
     records = convergence_study(curve, n_list, args.k, args.n_ref)
     header = ["n"] + [f"rel_err_{j + 1}" for j in range(args.k)]
@@ -276,10 +295,10 @@ def _kind_from_args(args) -> DomainKind:
     return DomainKind.UNBOUNDED_EXTERIOR if args.exterior else DomainKind.BOUNDED_INTERIOR
 
 
-def _cmd_sweep(args) -> int:
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    r_values = [float(v) for v in args.r_values.split(",")]
+def _cmd_sweep(args, outdir: Path) -> int:
+    with _reading("--r-values"):
+        r_values = [float(v) for v in args.r_values.split(",")]
+    _check_size(args.n, args.k)
     sweep = parameter_sweep(
         args.family,
         _kind_from_args(args),
@@ -296,9 +315,8 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_crossing(args) -> int:
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_crossing(args, outdir: Path) -> int:
+    _check_size(args.n, args.k + 1)
     result = find_crossing(
         args.family,
         _kind_from_args(args),
@@ -331,11 +349,11 @@ def _cmd_crossing(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_verify(args, outdir: Path) -> int:
     kind = _kind_from_args(args)
-    r_values = [float(v) for v in args.r_values.split(",")]
+    with _reading("--r-values"):
+        r_values = [float(v) for v in args.r_values.split(",")]
+    _check_size(args.n, max(args.k, 2))
     sweep = parameter_sweep(
         args.family, kind, r_values, max(args.k, 2), target_perimeter=args.perimeter, n_policy=args.n
     )
@@ -360,9 +378,8 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 3
 
 
-def _cmd_gaps(args) -> int:
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_gaps(args, outdir: Path) -> int:
+    _check_size(args.n, args.k)
     curve = _build_curve(args, args.n)
     spec = solve_spectrum(curve, args.n, args.k)
     records = asymptotic_gaps(spec)
@@ -470,7 +487,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        Path(args.output).mkdir(parents=True, exist_ok=True)
+        return args.func(args, Path(args.output))
     except _SOLVER_ERRORS as exc:
         _emit_error(type(exc).__name__, exc)
         return 3

@@ -224,7 +224,7 @@ def _ellipse(params):
         lambda t: a * (np.cos(t) + 1j * r * np.sin(t)),
         lambda t: a * (-np.sin(t) + 1j * r * np.cos(t)),
         lambda t: a * (-np.cos(t) - 1j * r * np.sin(t)),
-        None,
+        0.0 + 0.0j,
     )
 
 
@@ -248,7 +248,7 @@ def _star2(params):
         rad2 = -4.0 * r * np.cos(2 * t)
         return a * (rad2 + 2j * rad1 - rad) * np.exp(1j * t)
 
-    return eta, eta1, eta2, None
+    return eta, eta1, eta2, 0.0 + 0.0j
 
 
 def _kite(params):
@@ -261,7 +261,7 @@ def _kite(params):
     def eta2(t):
         return -1.5 * np.cos(t) - 2.8 * np.cos(2 * t) + 1j * (-1.5 * np.sin(t) + 0.3 * np.cos(t))
 
-    return eta, eta1, eta2, None
+    return eta, eta1, eta2, -0.4 + 0.0j
 
 
 def _g1(params):
@@ -293,7 +293,7 @@ def _g2(params):
         h = _h(t)
         return -(1.0 + h) * (1.0 + 3.0 * h) * eta(t)
 
-    return eta, eta1, eta2, None
+    return eta, eta1, eta2, 0.0 + 0.0j
 
 
 _FAMILIES = {
@@ -336,9 +336,9 @@ def make_builtin(
         the exterior parametrization is the bounded one composed with
         t ↦ -t, i.e. the same curve traversed clockwise.
     alpha : complex, optional
-        Base point override for bounded domains.  Defaults to the
-        series center for ``disk``/``g1`` and to the parametrization
-        mean (a robustly interior point) for the other families.
+        Base point override for bounded domains.  Defaults to the exact
+        mean of the parametrization over one period (the series center),
+        which every builtin encloses.
     """
     params = dict(params or {})
     if family not in _FAMILIES:
@@ -355,10 +355,7 @@ def make_builtin(
         alpha = None
     else:
         eta, eta1, eta2 = eta_b, eta1_b, eta2_b
-        if alpha is None:
-            alpha = default_alpha
-        if alpha is None:
-            alpha = complex(np.mean(eta_b(nodes(256))))
+        alpha = default_alpha if alpha is None else alpha
 
     return BoundaryCurve(
         name=family,

@@ -62,9 +62,17 @@ class LUFactors:
         """Solve A x = b for one right-hand side or a matrix of them."""
         return scipy.linalg.lu_solve((self.lu, self.piv), b, check_finite=False)
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x = P L U x for a matrix of columns x, from the packed factors alone."""
+        y = scipy.linalg.blas.dtrmm(1.0, self.lu, x)  # U x
+        y = scipy.linalg.blas.dtrmm(1.0, self.lu, y, lower=1, diag=1, overwrite_b=1)  # L U x
+        return scipy.linalg.lapack.dlaswp(y, self.piv, inc=-1, overwrite_a=1)  # P, last swap first
 
-def lu_factor(a: np.ndarray) -> LUFactors:
+
+def lu_factor(a: np.ndarray, overwrite_a: bool = False) -> LUFactors:
     """LU-factorize a square real matrix with partial pivoting.
+
+    With `overwrite_a`, a column-major float `a` is overwritten by the factors.
 
     Raises
     ------
@@ -79,7 +87,7 @@ def lu_factor(a: np.ndarray) -> LUFactors:
         raise ValueError("matrix entries must be finite")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=overwrite_a, check_finite=False)
     if np.any(np.diag(lu) == 0.0):
         raise SingularMatrixError("matrix is singular: zero pivot in LU factorization")
     return LUFactors(lu=lu, piv=piv)

@@ -17,12 +17,12 @@ For an even grid size n the module assembles
   N(s,t) by the trapezoidal rule, and C = -K + C̃ splits the singular
   kernel M(s,t) into its cotangent part (handled exactly by K) and
   the continuous remainder M̃ (trapezoidal).  Both come from one
-  evaluation of the complex kernel; -K and the cotangent that M̃
+  kernel evaluation in column panels; -K and the cotangent that M̃
   adds back depend on i-j only and enter C as a single circulant;
 * ``E = -(I - B)^{-1} C`` — the conjugation matrix mapping the
   boundary values of Re f to those of Im f, for f analytic in the
   domain with Im f(α) = 0 (bounded) or Im f(∞) = 0 (exterior);
-* the (n+2)-square Steklov pencil matrix (`build_pencil`), which needs no E.
+* the (n+2)-square Steklov pencil matrix (`build_pencil`), factored in place.
 
 With A(t) = η(t) - α for bounded domains and A(t) = 1 for exterior
 ones, the kernels are
@@ -47,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import circulant
 
 from .curves import BoundaryCurve, DomainKind, Grid, build_grid
@@ -67,6 +68,9 @@ __all__ = [
 # Residual imaginary part of F W F* beyond this indicates a wrong
 # frequency layout rather than rounding.
 _DIFF_IMAG_TOL = 1e-12
+
+# Columns per Nyström assembly panel (measured well at n = 256-2048).
+_PANEL = 64
 
 
 class DiscretizationError(RuntimeError):
@@ -207,10 +211,12 @@ def nystrom_matrices(grid: Grid, curve: BoundaryCurve,
     depend on m = i - j mod n only, so C is the kernel's real part plus
     one circulant with column (1/n) cot(m π / n) - K_m0.
 
-    Both matrices are column-major, the layout LAPACK factorizes and
-    solves with, so `build_dtn` does not transpose them.  C is written
-    into `out` when it is given (an n×n view, such as the leading block
-    of the pencil matrix) and returned as that view.
+    The kernel fills _PANEL columns at a time of one complex buffer,
+    which go straight into B and C; the circulant is a strided view of
+    the doubled column.  Both matrices are column-major, the layout
+    LAPACK factorizes and solves with.  C is written into `out` when it
+    is given (an n×n view, such as the leading block of the pencil
+    matrix) and returned as that view.
     """
     n = grid.n
     h = 2.0 * np.pi / n
@@ -221,23 +227,29 @@ def nystrom_matrices(grid: Grid, curve: BoundaryCurve,
         a_val = eta - curve.alpha
         col_factor = col_factor / a_val
 
-    # h (M + i N)(t_i, t_j) = A_i (h/π) η'_j / (A_j (η_j - η_i)); row i = s, col j = t.
-    # The transposed outer difference is η_j - η_i, laid out column-major.
-    kern = np.subtract.outer(eta, eta).T
-    np.fill_diagonal(kern, 1.0)
-    np.divide(col_factor, kern, out=kern)
-    if bounded:
-        kern *= a_val[:, None]
-
     shift = np.zeros(n)
     shift[1:] = 1.0 / (n * np.tan(np.arange(1, n) * np.pi / n))
     shift -= _wittich_column(n)
+    # Column j of the circulant, shift[(i - j) mod n] over rows i, is window n - j.
+    windows = sliding_window_view(np.concatenate((shift, shift)), n)
+
+    b = np.empty((n, n), order="F")
+    c = np.empty((n, n), order="F") if out is None else out
+    buf = np.empty((min(_PANEL, n), n), dtype=complex)
+    for j0 in range(0, n, _PANEL):
+        j1 = min(j0 + _PANEL, n)
+        # h (M + i N)(t_i, t_j) = A_i (h/π) η'_j / (A_j (η_j - η_i)); kern[j - j0, i].
+        kern = buf[: j1 - j0]
+        np.subtract(eta[j0:j1, None], eta, out=kern)
+        np.fill_diagonal(kern[:, j0:], 1.0)
+        np.divide(col_factor[j0:j1, None], kern, out=kern)
+        if bounded:
+            kern *= a_val
+        b.T[j0:j1] = kern.imag
+        np.add(windows[n - j0 : n - j1 : -1], kern.real, out=c.T[j0:j1])
 
     diag = (h / np.pi) * _log_derivative_term(curve, grid.t)
-    b = kern.imag.copy(order="F")
     np.fill_diagonal(b, diag.imag)
-    # c_ij = shift[(i - j) mod n]
-    c = np.add(circulant(shift[-np.arange(n) % n]).T, kern.real, out=out)
     np.fill_diagonal(c, diag.real)
     return b, c
 
@@ -284,7 +296,7 @@ def build_dtn(curve: BoundaryCurve, n: int) -> DtnDiscretization:
     i_minus_b = -b  # keeps B's column-major layout
     i_minus_b[np.diag_indices(n)] += 1.0
     try:
-        factors = lu_factor(i_minus_b)
+        factors = lu_factor(i_minus_b, overwrite_a=True)
     except SingularMatrixError as exc:
         raise DiscretizationError(
             f"(I - B) is singular at n={n}; increase the grid size"
@@ -298,11 +310,12 @@ def build_dtn(curve: BoundaryCurve, n: int) -> DtnDiscretization:
     )
 
 
-def build_pencil(curve: BoundaryCurve, n: int) -> tuple[Grid, np.ndarray, np.ndarray, LUFactors]:
-    """Grid, B, the (n+2)-square Steklov pencil matrix A and its LU for (curve, n).
+def build_pencil(curve: BoundaryCurve, n: int) -> tuple[Grid, np.ndarray, LUFactors]:
+    """Grid, B and the LU of the (n+2)-square Steklov pencil matrix A for (curve, n).
 
     A = [[C, (I - B) N], [Nᵀ W, 0]] with N = [1, alt], alt_j = (-1)^j,
-    and W = diag|η'|; C is written straight into A's column-major buffer.
+    and W = diag|η'|; C is written straight into A's column-major
+    buffer, which the LU then overwrites (`LUFactors.matvec` applies A).
     """
     grid = build_grid(curve, n)
     a = np.zeros((n + 2, n + 2), order="F")
@@ -311,7 +324,7 @@ def build_pencil(curve: BoundaryCurve, n: int) -> tuple[Grid, np.ndarray, np.nda
     a[:n, n:] = null - b @ null
     a[n:, :n] = (null * grid.speed[:, None]).T
     try:
-        factors = lu_factor(a)
+        factors = lu_factor(a, overwrite_a=True)
     except SingularMatrixError as exc:
         raise DiscretizationError(f"the Steklov pencil is singular at n={n}; increase n") from exc
-    return grid, b, a, factors
+    return grid, b, factors

@@ -12,8 +12,9 @@ is the pencil (`operators.build_pencil`)
 
 whose eigenvalues are the nonzero ones of Q = P D E, P = diag(1/|η'|),
 without Q's double zero (the constant and the spurious Nyquist mode).
-Shift-invert Arnoldi at 0 on A^{-1} M needs one LU of A; μ comes out of
-each eigenvector, and the residual is ||(I - B) μ_j + C γ_j||_2.
+Shift-invert Arnoldi at 0 on A^{-1} M needs one in-place LU of A; μ comes
+out of each eigenvector, and the residual ||(A x - λ M x)_1..n||_2 =
+||(I - B) μ_j + C γ_j||_2 applies A from its factors.
 
 Traces are normalized to (2π/n) Σ_j |η'(t_j)| γ(t_j)² = 1 with the
 largest-magnitude component positive.  A trace tail (Fourier energy in
@@ -70,7 +71,7 @@ class SteklovSpectrum:
     conjugates : ndarray, shape (n, k)
         Harmonic conjugates μ_j = E γ_j, recovered from the pencil.
     residuals : ndarray, shape (k,)
-        ||(I - B) μ_j + C γ_j||_2 per mode.
+        ||(I - B) μ_j + C γ_j||_2 per mode, with A applied from its LU.
     trace_tail : ndarray, shape (k,)
         Relative Fourier tail of each trace (bins >= 3n/8).
     perimeter, area : float
@@ -126,7 +127,7 @@ def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
     if k + 2 > n // 2:
         raise ValueError(f"k + 2 = {k + 2} eigenpairs exceed the resolvable band n/2 = {n // 2}")
 
-    grid, b, a, factors = build_pencil(curve, n)
+    grid, b, factors = build_pencil(curve, n)
 
     def apply_m(x):
         g = apply_diff_fast(grid.speed * x[:n], pinv=True)
@@ -145,9 +146,9 @@ def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
     vectors[:, peak < 0.0] *= -1.0
     traces = vectors[:n]
     alt = (-1.0) ** np.arange(n)
-    conjugates = apply_diff_fast(grid.speed[:, None] * traces, pinv=True) * lam
-    conjugates += vectors[n] + np.outer(alt, vectors[n + 1])
-    residuals = np.linalg.norm(conjugates - b @ conjugates + a[:n, :n] @ traces, axis=0)
+    lam_g = apply_diff_fast(grid.speed[:, None] * traces, pinv=True) * lam
+    conjugates = lam_g + (vectors[n] + np.outer(alt, vectors[n + 1]))
+    residuals = np.linalg.norm(factors.matvec(vectors)[:n] + lam_g - b @ lam_g, axis=0)
     energy = np.abs(np.fft.rfft(traces, axis=0)) ** 2
     tail = np.sqrt(np.sum(energy[(3 * n + 7) // 8 :], axis=0) / np.sum(energy, axis=0))
     if np.max(tail) > TRACE_TAIL_WARN:

@@ -10,6 +10,7 @@ import pytest
 import steklov
 import steklov.cli
 import steklov.operators
+import steklov.spectrum
 from steklov.cli import fmt, main, write_csv
 from steklov.densela import SingularMatrixError
 
@@ -98,6 +99,17 @@ def test_modes_roundtrip_matches_fused_run(tmp_path):
         assert (fused_dir / name).read_bytes() == (reload_dir / name).read_bytes()
 
 
+def test_kite_modes_roundtrip_matches_fused_run(tmp_path):
+    # the kite's default base point is exact, so spectrum.json reloads the same curve
+    base = ["--curve", "kite", "--n", "64", "--k", "2"]
+    assert run_cli(["solve", *base, "--output", str(tmp_path / "solve")]) == 0
+    assert run_cli(["modes", *base, "--modes", "2", "--output", str(tmp_path / "fused")]) == 0
+    assert run_cli(["modes", "--spectrum", str(tmp_path / "solve" / "spectrum.json"),
+                    "--modes", "2", "--output", str(tmp_path / "reload")]) == 0
+    fused, reload = (tmp_path / d / "mode_2.csv" for d in ("fused", "reload"))
+    assert fused.read_bytes() == reload.read_bytes()
+
+
 def test_modes_reads_steklov_1_spectrum(tmp_path):
     # modes --spectrum reads only curve, n and k, which the old schema also holds
     solve_dir, fused_dir, reload_dir = tmp_path / "solve", tmp_path / "fused", tmp_path / "reload"
@@ -117,13 +129,65 @@ def test_modes_reads_steklov_1_spectrum(tmp_path):
 
 
 def test_singular_pencil_is_solver_error(tmp_path, capsys, monkeypatch):
-    def singular(a):
+    def singular(a, *args, **kwargs):
         raise SingularMatrixError("zero pivot")
 
     monkeypatch.setattr(steklov.operators, "lu_factor", singular)
     code = run_cli(["solve", "--curve", "disk", "--n", "32", "--k", "2", "--output", str(tmp_path)])
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "DiscretizationError"
+
+
+def test_value_error_inside_the_solve_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("raised inside the eigensolver")
+
+    monkeypatch.setattr(steklov.spectrum, "smallest_magnitude_eigs", broken)
+    with pytest.raises(ValueError, match="inside the eigensolver"):
+        run_cli(["solve", "--curve", "disk", "--n", "32", "--k", "2", "--output", str(tmp_path)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--curve", "disk", "--n", "31", "--k", "2"],
+        ["solve", "--curve", "disk", "--n", "32", "--k", "0"],
+        ["solve", "--curve", "disk", "--n", "16", "--k", "7"],
+        ["solve", "--curve", "ellipse", "--params", "r=two", "--n", "32", "--k", "2"],
+        ["gaps", "--curve", "disk", "--n", "16", "--k", "20"],
+        ["modes", "--curve", "disk", "--n", "32", "--k", "2", "--modes", "one"],
+        ["converge", "--curve", "disk", "--n-list", "16,x", "--n-ref", "32", "--k", "2"],
+        ["converge", "--curve", "disk", "--n-list", "8", "--n-ref", "32", "--k", "4"],
+        ["sweep", "--family", "ellipse", "--r-values", "1,b", "--n", "32", "--k", "2"],
+        ["sweep", "--family", "ellipse", "--r-values", "1,2", "--n", "32", "--k", "20"],
+        ["verify", "--family", "ellipse", "--r-values", "1;2", "--n", "32"],
+        ["crossing", "--family", "ellipse", "--k", "7", "--bracket", "1.8", "2.2", "--n", "16"],
+    ],
+    ids=["odd-n", "zero-k", "k-beyond-band", "params", "gaps-k", "modes", "n-list",
+         "n-list-k", "r-values", "sweep-k", "verify-r-values", "crossing-k"],
+)
+def test_bad_user_input_is_config_error(tmp_path, capsys, argv):
+    assert run_cli([*argv, "--output", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [("config", "{not json"), ("config", '{"family": "ellipse", "params": {"r": "x"}}'),
+     ("spectrum", "{not json"), ("spectrum", '{"schema": "steklov/2", "n": 32}'),
+     ("points", "x,y\n0.1,zero\n")],
+    ids=["config-json", "config-value", "spectrum-json", "spectrum-missing-key", "points"],
+)
+def test_malformed_input_file_is_config_error(tmp_path, capsys, name, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = {
+        "config": ["solve", "--config", str(path), "--n", "32", "--k", "2"],
+        "spectrum": ["modes", "--spectrum", str(path)],
+        "points": ["modes", "--curve", "disk", "--n", "32", "--k", "2", "--points", str(path)],
+    }[name]
+    assert run_cli([*argv, "--output", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
 
 
 def test_modes_field_csv_shape(tmp_path):

@@ -286,5 +286,16 @@ def test_curve_from_spec_errors():
         curve_from_spec({"family": "disk", "kind": "interior-ish"})
 
 
+def test_default_alpha_survives_json_rendering():
+    # the default base points are exact, so a 15-digit spec reloads the same curve
+    curves = [make_builtin(family) for family in builtin_families()]
+    curves += [scale_to_perimeter("ellipse", {"r": 2.0}), scale_to_perimeter("star2", {"r": 0.5})]
+    for c in curves:
+        rendered = [float(f"{v:.15g}") for v in curve_to_spec(c)["alpha"]]
+        assert complex(*rendered) == c.alpha, c.name
+    assert make_builtin("kite").alpha == -0.4
+    assert make_builtin("g2").alpha == 0.0
+
+
 def test_builtin_family_list():
     assert set(builtin_families()) == {"disk", "ellipse", "star2", "kite", "g1", "g2"}

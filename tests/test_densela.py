@@ -52,6 +52,27 @@ def test_lu_solve_residual(rng):
     assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b) * np.linalg.cond(a)
 
 
+def test_lu_matvec_applies_the_factored_matrix(rng):
+    a = rng.uniform(-1.0, 1.0, size=(40, 40))
+    x = rng.uniform(-1.0, 1.0, size=(40, 3))
+    assert np.max(np.abs(lu_factor(a).matvec(x) - a @ x)) <= 1e-13
+
+
+def test_lu_overwrite_factors_in_place(rng):
+    a = np.asfortranarray(rng.uniform(-1.0, 1.0, size=(30, 30)))
+    ref = lu_factor(a)
+    assert not np.shares_memory(ref.lu, a)
+    f = lu_factor(a, overwrite_a=True)
+    assert np.shares_memory(f.lu, a)
+    assert np.array_equal(f.lu, ref.lu) and np.array_equal(f.piv, ref.piv)
+    bad = np.asfortranarray(np.eye(3))
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        lu_factor(bad, overwrite_a=True)
+    with pytest.raises(SingularMatrixError):
+        lu_factor(np.asfortranarray([[1.0, 2.0], [2.0, 4.0]]), overwrite_a=True)
+
+
 def test_lu_singular_raises():
     with pytest.raises(SingularMatrixError):
         lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))

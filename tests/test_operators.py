@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from steklov import DomainKind, make_builtin
+import steklov.operators
+from steklov import DomainKind, make_builtin, scale_to_perimeter
 from steklov.curves import build_grid, nodes
+from steklov.densela import lu_factor
 from steklov.operators import (
     apply_diff_fast,
     build_dtn,
+    build_pencil,
     fourier_diff_matrix,
     kernel_values,
     nystrom_matrices,
@@ -198,6 +201,36 @@ def test_nystrom_entries_match_kernel_values(g1_curve, kite_bounded, kite_exteri
         n_val, mt_val = kernel_values(curve, grid.t[:, None], grid.t[None, :])
         assert np.max(np.abs(b - h * n_val)) <= 1e-13, curve.name
         assert np.max(np.abs(c - (-k + h * mt_val))) <= 1e-13, curve.name
+
+
+@pytest.mark.parametrize("n", [70, 200])
+@pytest.mark.parametrize("kind", [DomainKind.BOUNDED_INTERIOR, DomainKind.UNBOUNDED_EXTERIOR])
+def test_nystrom_panel_edges_match_kernel_values(n, kind):
+    # the panel width does not divide n, so the last panel is partial
+    k = wittich_matrix(n)
+    h = 2 * np.pi / n
+    curves = (make_builtin("kite", kind=kind), make_builtin("g2", kind=kind),
+              scale_to_perimeter("ellipse", {"r": 2.0}, kind=kind))
+    for curve in curves:
+        grid = build_grid(curve, n)
+        b, c = nystrom_matrices(grid, curve)
+        n_val, mt_val = kernel_values(curve, grid.t[:, None], grid.t[None, :])
+        assert np.max(np.abs(b - h * n_val)) <= 1e-13, curve.name
+        assert np.max(np.abs(c - (-k + h * mt_val))) <= 1e-13, curve.name
+
+
+def test_pencil_is_factored_in_place(kite_bounded, monkeypatch):
+    filled = []
+
+    def spy(a, *args, **kwargs):
+        filled.append(a)
+        return lu_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(steklov.operators, "lu_factor", spy)
+    *_, factors = build_pencil(kite_bounded, 70)
+    assert len(filled) == 1
+    assert filled[0].shape == (72, 72)
+    assert np.shares_memory(factors.lu, filled[0])
 
 
 def test_nystrom_circle_matrices(disk):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -96,13 +97,38 @@ def test_residual_bound(kite_bounded):
     assert np.all(spec.residuals <= 1e-9 * (1.0 + spec.lambdas))
 
 
+@pytest.mark.parametrize("family", builtin_families())
+def test_factor_residuals_match_explicit_operators(family):
+    # the residual applies A from its LU factors; it is ||(I - B) μ_j + C γ_j||_2
+    curve = make_builtin(family)
+    spec = solve_spectrum(curve, 256, 10)
+    disc = build_dtn(curve, 256)
+    explicit = np.linalg.norm(
+        spec.conjugates - disc.B @ spec.conjugates + disc.C @ spec.traces, axis=0
+    )
+    assert np.max(np.abs(spec.residuals - explicit)) <= 1e-12
+
+
+def test_solve_peak_memory_is_two_matrices(kite_bounded):
+    # B and the pencil matrix, factored in place, are the only n-square arrays
+    n = 1024
+    solve_spectrum(kite_bounded, 128, 10)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        solve_spectrum(kite_bounded, n, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n * n
+
+
 def test_one_factorization_and_neither_e_nor_q(kite_bounded, monkeypatch):
     lu_factor, solve = steklov.densela.lu_factor, steklov.densela.LUFactors.solve
     shapes, rhs_ndims = [], []
 
-    def counting_lu(a):
+    def counting_lu(a, *args, **kwargs):
         shapes.append(np.shape(a))
-        return lu_factor(a)
+        return lu_factor(a, *args, **kwargs)
 
     def counting_solve(self, b):
         rhs_ndims.append(np.ndim(b))
