@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
@@ -144,10 +145,7 @@ def _parse_params(text: str) -> dict:
 
 def _curve_spec_from_args(args) -> dict:
     if args.config:
-        spec = json.loads(Path(args.config).read_text())
-        if not isinstance(spec, dict):
-            raise CurveError(f"curve config {args.config} must be a JSON object")
-        return spec
+        return json.loads(Path(args.config).read_text())  # curve_from_spec checks its type
     if not args.family:
         raise CurveError("a curve is required: pass --curve/--family or --config")
     spec: dict = {"family": args.family, "params": _parse_params(args.params)}
@@ -197,15 +195,25 @@ def _write_spectrum_csv(path: Path, spec: SteklovSpectrum) -> None:
 
 
 def write_field_csvs(outdir: Path, modes: list[int], fields) -> None:
-    """mode_<j>.csv (x, y, u, flag) for raster fields or point samples of the given modes."""
+    """mode_<j>.csv (x, y, u, flag) for raster fields or point samples of the given modes.
+
+    The fields share their coordinates, as one `raster_field` or `eigenmode_field` call
+    returns them: x and y are rendered once into a row template that each file fills
+    with u and flag.  The bytes are those of `write_csv` on the float table.
+    """
+    def render(values: np.ndarray) -> list[str]:
+        return ["%.15g" % v for v in values.tolist()]
+
+    first = fields[0]
+    if isinstance(first, RasterField):
+        xs = render(first.x)
+        xy = ((x, y) for y in render(first.y) for x in xs)
+    else:
+        xy = zip(render(first.points.real), render(first.points.imag))
+    template = "".join(f"{x},{y},%.15g,%.15g\n" for x, y in xy)
     for j, field in zip(modes, fields):
-        if isinstance(field, RasterField):
-            ny, nx = field.u.shape
-            x, y = np.tile(field.x, ny), np.repeat(field.y, nx)
-        else:
-            x, y = field.points.real, field.points.imag
-        rows = np.column_stack((x, y, field.u.ravel(), field.flags.ravel()))
-        write_csv(outdir / f"mode_{j}.csv", ["x", "y", "u", "flag"], rows)
+        cells = np.column_stack((field.u.ravel(), field.flags.ravel())).ravel().tolist()
+        (outdir / f"mode_{j}.csv").write_text("x,y,u,flag\n" + template % tuple(cells))
 
 
 def _dump_operators(outdir: Path, curve, n: int) -> None:
@@ -246,6 +254,8 @@ def _spectrum_for_modes(args, modes: list[int]) -> SteklovSpectrum:
     if args.spectrum:
         with _reading(f"--spectrum {args.spectrum}"):
             payload = json.loads(Path(args.spectrum).read_text())
+            if not isinstance(payload, dict):
+                raise ConfigError(f"--spectrum {args.spectrum} must hold a JSON object")
             if payload.get("schema") not in ("steklov/1", SCHEMA):  # curve, n, k read alike
                 raise CurveError(f"unsupported spectrum schema {payload.get('schema')!r}")
             n, k = int(payload["n"]), int(payload["k"])
@@ -266,7 +276,9 @@ def _cmd_modes(args, outdir: Path) -> int:
     with _reading("--modes"):
         modes = [int(j) for j in args.modes.split(",")]
     if args.points:
-        with _reading(f"--points {args.points}"):
+        with _reading(f"--points {args.points}"), warnings.catch_warnings():
+            # an empty table is a ConfigError below, not a numpy warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             data = np.loadtxt(args.points, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[0] == 0 or data.shape[1] < 2:
             raise ConfigError(f"--points file {args.points} needs x,y rows after its header")

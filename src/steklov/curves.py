@@ -24,6 +24,7 @@ rejected because the enclosed region then splits in two.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
@@ -430,6 +431,8 @@ def curve_from_spec(spec: dict, n: int = 256) -> BoundaryCurve:
     ``perimeter_normalize`` (target length; resolves the scale via
     `scale_to_perimeter` at this n).
     """
+    if not isinstance(spec, dict):
+        raise CurveError(f"curve spec must be a JSON object, got {spec!r}")
     if "family" not in spec:
         raise CurveError("curve spec requires a 'family' key")
     family = str(spec["family"])
@@ -441,6 +444,9 @@ def curve_from_spec(spec: dict, n: int = 256) -> BoundaryCurve:
         raise CurveError(f"unknown domain kind {kind_key!r}; use 'bounded' or 'exterior'") from None
     alpha = spec.get("alpha")
     if alpha is not None:
+        if not (isinstance(alpha, (list, tuple)) and len(alpha) == 2
+                and all(isinstance(v, numbers.Real) for v in alpha)):
+            raise CurveError(f"alpha must be two numbers [re, im], got {alpha!r}")
         alpha = complex(float(alpha[0]), float(alpha[1]))
     target = spec.get("perimeter_normalize")
     if target is not None:

@@ -30,11 +30,12 @@ be trusted at all.  There the trapezoidal winding number is unreliable
 too, so the side is decided by the tangent at the nearest node (the
 domain lies to its left for both orientations).
 
-One pass serves every requested mode: per chunk of points it builds
-the weight block w once and takes from it the winding number
-Re Σ_j w_j / (in), the near-boundary mask, the denominator Σ_j w_j and
-the Cauchy sums of each mode, and it divides only on points inside
-and, for rasters, away from the boundary.
+One pass serves every requested mode, over cache-sized blocks of
+`_BLOCK_ENTRIES` weights (64 points at n = 512).  Per block it builds
+w once and takes from it the winding number Re Σ_j w_j / (in), the
+near-boundary mask and the denominator Σ_j w_j; the Cauchy sums of each
+mode are taken only on the rows of kept points (inside and, for
+rasters, away from the boundary).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import zgemv
 
 from .curves import BoundaryCurve, DomainKind, Grid
 from .spectrum import SteklovSpectrum
@@ -60,6 +62,7 @@ __all__ = [
 ]
 
 _F_INFINITY_IMAG_TOL = 1e-8
+_BLOCK_ENTRIES = 32_768  # complex weights per block of points: 0.5 MiB
 
 
 class ExtensionError(ValueError):
@@ -128,8 +131,8 @@ def _extend(
     inside = np.empty(z.shape, dtype=bool)
     near = np.empty(z.shape, dtype=bool)
     values = np.full((len(bfs), len(z)), np.nan, dtype=complex)
-    chunk = max(1, min(len(z), 2_000_000 // grid.n))  # bound the (points x nodes) block
-    # one buffer pair for every chunk: the differences become w in place
+    chunk = max(1, min(len(z), _BLOCK_ENTRIES // grid.n))  # points per cache-sized block
+    # one buffer pair for every block: the differences become w in place
     block, dist = np.empty((chunk, grid.n), dtype=complex), np.empty((chunk, grid.n))
     for lo in range(0, len(z), chunk):
         zc = z[lo : lo + chunk]
@@ -141,17 +144,21 @@ def _extend(
         winding = np.real(total / (1j * grid.n))
         left = np.imag(np.conj(grid.eta1[jmin]) * (zc - grid.eta[jmin])) > 0.0
         inside_c = np.where(near_c, left, np.abs(winding - (1.0 if bounded else 0.0)) < 0.5)
-        rows = inside_c if keep_near else inside_c & ~near_c
-        # a product per function: the columns of one BLAS product can change in
-        # the last bit with their number, and a mode must not depend on the others
-        for out, bf in zip(values[:, lo : lo + chunk], bfs):
-            if bounded:
-                out[rows] = (w @ bf.values)[rows] / total[rows]
-            else:
-                c = complex(bf.f_infinity)
-                out[rows] = c + (w @ (bf.values - c))[rows] / (1j * grid.n)
         inside[lo : lo + chunk] = inside_c
         near[lo : lo + chunk] = near_c
+        rows = np.flatnonzero(inside_c if keep_near else inside_c & ~near_c)
+        if rows.size == 0:
+            continue  # zgemv rejects an empty matrix
+        kept = w[rows].T  # nodes x kept points: the products skip discarded points
+        # a gemv per function, as the columns of one BLAS product can change in the last
+        # bit with their number and a mode must not depend on the others; zgemv even for
+        # one kept row, where matmul takes a dot product, so block size changes no bit
+        for out, bf in zip(values[:, lo : lo + chunk], bfs):
+            if bounded:
+                out[rows] = zgemv(1.0, kept, bf.values, trans=1) / total[rows]
+            else:
+                c = complex(bf.f_infinity)
+                out[rows] = c + zgemv(1.0, kept, bf.values - c, trans=1) / (1j * grid.n)
     return inside, near, values
 
 

@@ -11,8 +11,9 @@ import steklov
 import steklov.cli
 import steklov.operators
 import steklov.spectrum
-from steklov.cli import fmt, main, write_csv
+from steklov.cli import fmt, main, write_csv, write_field_csvs
 from steklov.densela import SingularMatrixError
+from steklov.extension import FieldSample, RasterField
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -172,13 +173,19 @@ def test_bad_user_input_is_config_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "name,text",
-    [("config", "{not json"), ("config", '{"family": "ellipse", "params": {"r": "x"}}'),
-     ("spectrum", "{not json"), ("spectrum", '{"schema": "steklov/2", "n": 32}'),
-     ("points", "x,y\n0.1,zero\n")],
-    ids=["config-json", "config-value", "spectrum-json", "spectrum-missing-key", "points"],
+    "name,text,error",
+    [("config", "{not json", "ConfigError"),
+     ("config", '{"family": "ellipse", "params": {"r": "x"}}', "ConfigError"),
+     ("config", '{"family": "g1", "alpha": [8.5]}', "CurveError"),
+     ("spectrum", "{not json", "ConfigError"),
+     ("spectrum", '{"schema": "steklov/2", "n": 32}', "ConfigError"),
+     ("spectrum", "[]", "ConfigError"),
+     ("spectrum", '{"schema": "steklov/2", "n": 32, "k": 2, "curve": []}', "CurveError"),
+     ("points", "x,y\n0.1,zero\n", "ConfigError")],
+    ids=["config-json", "config-value", "config-alpha-one-number", "spectrum-json",
+         "spectrum-missing-key", "spectrum-not-object", "spectrum-curve-not-object", "points"],
 )
-def test_malformed_input_file_is_config_error(tmp_path, capsys, name, text):
+def test_malformed_input_file_is_config_error(tmp_path, capsys, name, text, error):
     path = tmp_path / "input"
     path.write_text(text)
     argv = {
@@ -187,7 +194,7 @@ def test_malformed_input_file_is_config_error(tmp_path, capsys, name, text):
         "points": ["modes", "--curve", "disk", "--n", "32", "--k", "2", "--points", str(path)],
     }[name]
     assert run_cli([*argv, "--output", str(tmp_path / "out")]) == 2
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == error
 
 
 def test_modes_field_csv_shape(tmp_path):
@@ -293,6 +300,30 @@ def test_write_csv_matches_per_cell_rendering(tmp_path):
         assert (tmp_path / "t.csv").read_text() == "a,b,c,d,e\n" + per_cell(as_rows)
 
 
+def test_field_csvs_match_write_csv(tmp_path):
+    awkward = [np.nan, -0.0, 1e-300, 1e16, 0.1 + 0.2, -2.5, 0.0, 7.0]
+    x, y = np.array([-1.5, -0.0, 0.1 + 0.2, 1e16]), np.array([np.nan, -1e-300, 2.5])
+    u = np.array(awkward + awkward[::-2]).reshape(3, 4)
+    flags = np.arange(12).reshape(3, 4) % 3 == 0
+    one = np.array([-0.25 + 1e-300j])
+    cases = {
+        "raster": ([RasterField(x=x, y=y, u=u, flags=flags),
+                    RasterField(x=x, y=y, u=-u[::-1], flags=~flags)],
+                   np.tile(x, 3), np.repeat(y, 4)),
+        "points": ([FieldSample(points=one, values=one, u=np.array([v]), flags=np.array([f]))
+                    for v, f in ((0.1 + 0.2, True), (np.nan, False))],
+                   one.real, one.imag),
+    }
+    for name, (fields, xs, ys) in cases.items():
+        out = tmp_path / name
+        out.mkdir()
+        write_field_csvs(out, [2, 5], fields)
+        for j, field in zip([2, 5], fields):
+            table = np.column_stack((xs, ys, field.u.ravel(), field.flags.ravel()))
+            write_csv(tmp_path / "expected.csv", ["x", "y", "u", "flag"], table)
+            assert (out / f"mode_{j}.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
 def test_render_modes_script_matches_cli(tmp_path):
     script_dir, cli_dir = tmp_path / "script", tmp_path / "cli"
     proc = subprocess.run(
@@ -378,7 +409,7 @@ def test_solve_scaled_benchmark_value(tmp_path, capsys):
 
 
 def test_alpha_flag(tmp_path):
-    assert run_cli(["solve", "--curve", "g1", "--alpha", "8.5,0", "--n", "64", "--k", "2",
+    assert run_cli(["solve", "--curve", "g1", "--alpha", "8.5,0", "--n", "256", "--k", "2",
                     "--output", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "spectrum.json").read_text())
     assert payload["curve"]["alpha"] == [8.5, 0.0]

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import steklov.extension
 from steklov import DomainKind, make_builtin, solve_spectrum
 from steklov.extension import (
     BoundaryFunction,
@@ -255,3 +258,36 @@ def test_eigenmode_field_many_modes_match_single_calls(kite_exterior):
         assert np.array_equal(sample.flags, single.flags)
     with pytest.raises(ExtensionError):
         eigenmode_field(spec, [1, 2], np.array([0.0 + 0.0j]))  # inside the obstacle
+
+
+@pytest.mark.parametrize("curve", ["kite_bounded", "kite_exterior"])
+def test_block_size_does_not_change_fields(curve, request, monkeypatch):
+    spec = solve_spectrum(request.getfixturevalue(curve), 128, 4)
+    modes = [1, 2, 3, 4]
+    fields = raster_field(spec, modes, 30)
+    inside = np.isfinite(fields[0].u) | fields[0].flags  # near points are kept by samples
+    pts = (fields[0].x[None, :] + 1j * fields[0].y[:, None])[inside]
+    samples = eigenmode_field(spec, modes, pts)
+    assert 30 * 30 % 11 and len(pts) % 11  # eleven points per block leave a short last block
+    for entries in (spec.n, 11 * spec.n):
+        monkeypatch.setattr(steklov.extension, "_BLOCK_ENTRIES", entries)
+        for ras, again in zip(fields, raster_field(spec, modes, 30)):
+            assert np.array_equal(ras.u, again.u, equal_nan=True)
+            assert np.array_equal(ras.flags, again.flags)
+        for sample, again in zip(samples, eigenmode_field(spec, modes, pts)):
+            assert np.array_equal(sample.values, again.values)
+            assert np.array_equal(sample.flags, again.flags)
+
+
+def test_raster_pass_memory_is_bounded(kite_bounded):
+    spec = solve_spectrum(kite_bounded, 512, 4)
+    tracemalloc.start()
+    try:
+        fields = raster_field(spec, [1, 2, 3, 4], 120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # blocks of 2,000,000 weights (3906 points) would fail this: they peak at 47.4 MiB
+    assert peak <= 8 * 2**20
+    alone = raster_field(spec, 3, 120)  # a mode does not depend on the others requested
+    assert np.array_equal(alone.u, fields[2].u, equal_nan=True)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 import warnings
@@ -195,7 +196,11 @@ def test_arnoldi_path_matches_dense_path():
                 ev = np.linalg.eigvals(assemble_q(build_dtn(curve, n)))
                 ev = ev[np.argsort(np.abs(ev))][2 : k + 2]
                 dense = np.sort(ev.real)
-                lam = solve_spectrum(curve, n, k).lambdas
+                # the coarse grids are deliberate, since both paths agree at any n; every
+                # family but the disk and the ellipse is flagged there
+                flagged = n < 256 and family not in ("disk", "ellipse")
+                with pytest.warns(UnderResolvedWarning) if flagged else contextlib.nullcontext():
+                    lam = solve_spectrum(curve, n, k).lambdas
                 assert np.max(np.abs(lam - dense) / dense) <= 1e-10, (family, kind, n)
 
 
