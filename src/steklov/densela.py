@@ -8,6 +8,13 @@ driven by a single LU factorization of A, at every matrix size; ARPACK's
 machine-precision tolerance and default restart budget are used.  The
 starting vector is the all-ones vector so repeated runs are bitwise
 reproducible.
+
+One BLAS runtime per solve: products with a matrix whose factors are
+solved with here, and the solves themselves, go through
+`scipy.linalg.blas` and `scipy.linalg.lapack`, never numpy's `@`.  numpy
+and scipy may each link their own OpenBLAS build, each with its own pool
+of worker threads; an Arnoldi loop that alternates between the two makes
+the pools compete for the same cores on every step.
 """
 
 from __future__ import annotations
@@ -59,8 +66,15 @@ class LUFactors:
         return self.lu.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x = b for one right-hand side or a matrix of them."""
-        return scipy.linalg.lu_solve((self.lu, self.piv), b, check_finite=False)
+        """Solve A x = b for one right-hand side or a matrix of them.
+
+        Calls LAPACK's getrs directly: `scipy.linalg.lu_solve` without its
+        per-call checks, which an Arnoldi step would pay every time.
+        """
+        x, info = scipy.linalg.lapack.dgetrs(self.lu, self.piv, b)
+        if info:
+            raise ValueError(f"dgetrs: illegal value in argument {-info}")
+        return x
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x = P L U x for a matrix of columns x, from the packed factors alone."""

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import circulant
+from scipy.linalg import blas, circulant
 
 from .curves import BoundaryCurve, DomainKind, Grid, build_grid
 from .densela import LUFactors, SingularMatrixError, lu_factor
@@ -59,6 +59,7 @@ __all__ = [
     "apply_diff_fast",
     "build_dtn",
     "build_pencil",
+    "diff_multiplier",
     "fourier_diff_matrix",
     "kernel_values",
     "nystrom_matrices",
@@ -122,12 +123,17 @@ def apply_diff_fast(values: np.ndarray, pinv: bool = False) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     _check_even(n)
+    coef = np.fft.rfft(values, axis=0)
+    coef *= diff_multiplier(n, pinv).reshape((-1,) + (1,) * (values.ndim - 1))
+    return np.fft.irfft(coef, n=n, axis=0)
+
+
+def diff_multiplier(n: int, pinv: bool = False) -> np.ndarray:
+    """The rfft-bin multiplier of `apply_diff_fast`: i k, or 1/(i k) with `pinv`."""
     k = np.arange(1, n // 2)
     mult = np.zeros(n // 2 + 1, dtype=complex)
     mult[1:-1] = -1j / k if pinv else 1j * k
-    coef = np.fft.rfft(values, axis=0)
-    coef *= mult.reshape((-1,) + (1,) * (values.ndim - 1))
-    return np.fft.irfft(coef, n=n, axis=0)
+    return mult
 
 
 def _wittich_column(n: int) -> np.ndarray:
@@ -321,7 +327,7 @@ def build_pencil(curve: BoundaryCurve, n: int) -> tuple[Grid, np.ndarray, LUFact
     a = np.zeros((n + 2, n + 2), order="F")
     b, _ = nystrom_matrices(grid, curve, out=a[:n, :n])
     null = np.column_stack((np.ones(n), (-1.0) ** np.arange(n)))
-    a[:n, n:] = null - b @ null
+    a[:n, n:] = null - blas.dgemm(1.0, b, null)
     a[n:, :n] = (null * grid.speed[:, None]).T
     try:
         factors = lu_factor(a, overwrite_a=True)

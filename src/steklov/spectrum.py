@@ -14,7 +14,9 @@ whose eigenvalues are the nonzero ones of Q = P D E, P = diag(1/|η'|),
 without Q's double zero (the constant and the spurious Nyquist mode).
 Shift-invert Arnoldi at 0 on A^{-1} M needs one in-place LU of A; μ comes
 out of each eigenvector, and the residual ||(A x - λ M x)_1..n||_2 =
-||(I - B) μ_j + C γ_j||_2 applies A from its factors.
+||(I - B) μ_j + C γ_j||_2 applies A from its factors.  B is applied by
+scipy's `dgemv`/`dgemm`, the BLAS that owns A's LU, so an Arnoldi step
+stays on one OpenBLAS thread pool (see `steklov.densela`).
 
 Traces are normalized to (2π/n) Σ_j |η'(t_j)| γ(t_j)² = 1 with the
 largest-magnitude component positive.  A trace tail (Fourier energy in
@@ -27,6 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .curves import BoundaryCurve, DomainKind, Grid
 from .densela import smallest_magnitude_eigs
@@ -36,6 +39,7 @@ from .operators import (
     apply_diff_fast,
     build_dtn,  # noqa: F401  (kept importable here: perfbench traces it by this name)
     build_pencil,
+    diff_multiplier,
     fourier_diff_matrix,  # noqa: F401  (kept importable here: perfbench traces it by this name)
 )
 
@@ -128,10 +132,15 @@ def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
         raise ValueError(f"k + 2 = {k + 2} eigenpairs exceed the resolvable band n/2 = {n // 2}")
 
     grid, b, factors = build_pencil(curve, n)
+    pinv = diff_multiplier(n, pinv=True)
+    mx = np.zeros(n + 2)  # the solve copies it, so each step may overwrite it
 
-    def apply_m(x):
-        g = apply_diff_fast(grid.speed * x[:n], pinv=True)
-        return np.concatenate((b @ g - g, [0.0, 0.0]))
+    def apply_m(x):  # M x = [(B - I) D⁺ W x_1..n, 0, 0], D⁺ as in apply_diff_fast
+        coef = np.fft.rfft(grid.speed * x[:n])
+        coef *= pinv
+        g = np.fft.irfft(coef, n)
+        np.subtract(blas.dgemv(1.0, b, g), g, out=mx[:n])
+        return mx
 
     pairs = smallest_magnitude_eigs(factors, k, apply_m)
     order = np.argsort(pairs.values.real, kind="stable")
@@ -148,7 +157,8 @@ def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
     alt = (-1.0) ** np.arange(n)
     lam_g = apply_diff_fast(grid.speed[:, None] * traces, pinv=True) * lam
     conjugates = lam_g + (vectors[n] + np.outer(alt, vectors[n + 1]))
-    residuals = np.linalg.norm(factors.matvec(vectors)[:n] + lam_g - b @ lam_g, axis=0)
+    b_lam_g = blas.dgemm(1.0, b, lam_g)
+    residuals = np.linalg.norm(factors.matvec(vectors)[:n] + lam_g - b_lam_g, axis=0)
     energy = np.abs(np.fft.rfft(traces, axis=0)) ** 2
     tail = np.sqrt(np.sum(energy[(3 * n + 7) // 8 :], axis=0) / np.sum(energy, axis=0))
     if np.max(tail) > TRACE_TAIL_WARN:
