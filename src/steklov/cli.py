@@ -258,7 +258,9 @@ def _spectrum_for_modes(args, modes: list[int]) -> SteklovSpectrum:
                 raise ConfigError(f"--spectrum {args.spectrum} must hold a JSON object")
             if payload.get("schema") not in ("steklov/1", SCHEMA):  # curve, n, k read alike
                 raise CurveError(f"unsupported spectrum schema {payload.get('schema')!r}")
-            n, k = int(payload["n"]), int(payload["k"])
+            n, k = payload["n"], payload["k"]
+            if not (isinstance(n, int) and isinstance(k, int)):
+                raise ConfigError(f"--spectrum {args.spectrum}: n and k must be integers")
             _check_size(n, k)
             curve = curves.curve_from_spec(payload["curve"], n=n)
     elif args.n is None:

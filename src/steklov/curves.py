@@ -436,7 +436,9 @@ def curve_from_spec(spec: dict, n: int = 256) -> BoundaryCurve:
     if "family" not in spec:
         raise CurveError("curve spec requires a 'family' key")
     family = str(spec["family"])
-    params = dict(spec.get("params") or {})
+    params = spec.get("params") or {}
+    if not isinstance(params, dict):
+        raise CurveError(f"params must be a JSON object of name: value, got {params!r}")
     kind_key = str(spec.get("kind", "bounded"))
     try:
         kind = DomainKind(kind_key)

@@ -6,8 +6,12 @@ relevant spectrum is real (as for the Steklov pencil solved here).  It
 runs implicitly restarted Arnoldi iteration on A^{-1} M (ARPACK),
 driven by a single LU factorization of A, at every matrix size; ARPACK's
 machine-precision tolerance and default restart budget are used.  The
-starting vector is the all-ones vector so repeated runs are bitwise
-reproducible.
+starting vector is the fixed sum Σ_{m=1}^{k+2} (cos + sin)(2π m j / n)
+over the entries j of an n-vector, so repeated runs are bitwise
+reproducible.  It has no constant part and content in every reflection
+class of an equidistant grid: a constant start is even under every
+reflection, so odd modes would be reached only through rounding, and an
+M that annihilates constants (the disk's) maps it to zero.
 
 One BLAS runtime per solve: products with a matrix whose factors are
 solved with here, and the solves themselves, go through
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.linalg import LinAlgWarning
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
+from scipy.sparse.linalg import ArpackError, LinearOperator
 from scipy.sparse.linalg import eigs as _arpack_eigs
 
 __all__ = [
@@ -47,7 +51,7 @@ class SingularMatrixError(RuntimeError):
 
 
 class EigenSolveError(RuntimeError):
-    """Eigenvalue iteration failed to converge."""
+    """Eigenvalue iteration failed to converge or ARPACK reported an error."""
 
 
 class ComplexEigenvalueError(EigenSolveError):
@@ -187,7 +191,8 @@ def smallest_magnitude_eigs(a: np.ndarray | LUFactors, k: int, m=None) -> EigenP
         A is exactly singular (0 is then an eigenvalue; the inverse
         iteration has no meaning).
     EigenSolveError
-        Arnoldi did not converge within the restart budget.
+        Arnoldi did not converge within the restart budget, or ARPACK
+        failed otherwise.
     ComplexEigenvalueError
         A requested eigenvalue is complex beyond rounding level.
     """
@@ -199,10 +204,12 @@ def smallest_magnitude_eigs(a: np.ndarray | LUFactors, k: int, m=None) -> EigenP
     matvec = factors.solve if m is None else lambda x: factors.solve(m(x))
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
     ncv = min(n, max(2 * k + 4, 20))
+    phase = np.outer(np.arange(n), np.arange(1, k + 3)) * (2.0 * np.pi / n)
+    v0 = np.sum(np.cos(phase) + np.sin(phase), axis=1)
     try:
-        inv_values, vectors = _arpack_eigs(op, k=k, which="LM", v0=np.ones(n), ncv=ncv)
-    except ArpackNoConvergence as exc:
-        raise EigenSolveError(f"Arnoldi iteration did not converge: {exc}") from exc
+        inv_values, vectors = _arpack_eigs(op, k=k, which="LM", v0=v0, ncv=ncv)
+    except ArpackError as exc:  # ArpackNoConvergence is one
+        raise EigenSolveError(f"Arnoldi iteration failed: {exc}") from exc
 
     values, vectors = _order_and_realify(1.0 / inv_values, vectors, k)
     return EigenPairSet(values=values, vectors=vectors)

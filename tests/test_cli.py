@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackError
 
 import steklov
 import steklov.cli
+import steklov.densela
 import steklov.operators
 import steklov.spectrum
 from steklov.cli import fmt, main, write_csv, write_field_csvs
@@ -139,6 +141,16 @@ def test_singular_pencil_is_solver_error(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "DiscretizationError"
 
 
+def test_arpack_error_is_solver_error(tmp_path, capsys, monkeypatch):
+    def zero_start(*args, **kwargs):
+        raise ArpackError(-9)
+
+    monkeypatch.setattr(steklov.densela, "_arpack_eigs", zero_start)
+    code = run_cli(["solve", "--curve", "disk", "--n", "32", "--k", "2", "--output", str(tmp_path)])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "EigenSolveError"
+
+
 def test_value_error_inside_the_solve_is_not_a_config_error(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("raised inside the eigensolver")
@@ -177,13 +189,17 @@ def test_bad_user_input_is_config_error(tmp_path, capsys, argv):
     [("config", "{not json", "ConfigError"),
      ("config", '{"family": "ellipse", "params": {"r": "x"}}', "ConfigError"),
      ("config", '{"family": "g1", "alpha": [8.5]}', "CurveError"),
+     ("config", '{"family": "ellipse", "params": [1]}', "CurveError"),
      ("spectrum", "{not json", "ConfigError"),
      ("spectrum", '{"schema": "steklov/2", "n": 32}', "ConfigError"),
      ("spectrum", "[]", "ConfigError"),
+     ("spectrum", '{"schema": "steklov/2", "n": [32], "k": 2, "curve": {"family": "disk"}}',
+      "ConfigError"),
      ("spectrum", '{"schema": "steklov/2", "n": 32, "k": 2, "curve": []}', "CurveError"),
      ("points", "x,y\n0.1,zero\n", "ConfigError")],
-    ids=["config-json", "config-value", "config-alpha-one-number", "spectrum-json",
-         "spectrum-missing-key", "spectrum-not-object", "spectrum-curve-not-object", "points"],
+    ids=["config-json", "config-value", "config-alpha-one-number", "config-params-not-object",
+         "spectrum-json", "spectrum-missing-key", "spectrum-not-object", "spectrum-n-not-integer",
+         "spectrum-curve-not-object", "points"],
 )
 def test_malformed_input_file_is_config_error(tmp_path, capsys, name, text, error):
     path = tmp_path / "input"

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.linalg import ArpackError
 
+import steklov.densela
 from steklov import make_builtin
 from steklov.densela import (
     ComplexEigenvalueError,
+    EigenSolveError,
     SingularMatrixError,
     lu_factor,
     smallest_magnitude_eigs,
@@ -56,6 +60,17 @@ def test_lu_matvec_applies_the_factored_matrix(rng):
     a = rng.uniform(-1.0, 1.0, size=(40, 40))
     x = rng.uniform(-1.0, 1.0, size=(40, 3))
     assert np.max(np.abs(lu_factor(a).matvec(x) - a @ x)) <= 1e-13
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(40,), (40, 3)])
+def test_lu_solve_is_bitwise_scipy_lu_solve(rng, shape, order):
+    a = rng.uniform(-1.0, 1.0, size=(40, 40))
+    b = np.asarray(rng.uniform(-1.0, 1.0, size=shape), order=order)
+    f = lu_factor(a)
+    x = f.solve(b)
+    assert x.shape == b.shape
+    assert np.array_equal(x, scipy.linalg.lu_solve((f.lu, f.piv), b))
 
 
 def test_lu_overwrite_factors_in_place(rng):
@@ -172,6 +187,15 @@ def test_k_bounds():
         smallest_magnitude_eigs(a, k=5)
     with pytest.raises(ValueError):
         smallest_magnitude_eigs(a, k=3)  # Arnoldi needs k <= n - 2
+
+
+def test_arpack_error_is_eigen_solve_error(monkeypatch):
+    def zero_start(*args, **kwargs):
+        raise ArpackError(-9)
+
+    monkeypatch.setattr(steklov.densela, "_arpack_eigs", zero_start)
+    with pytest.raises(EigenSolveError, match="ARPACK error -9"):
+        smallest_magnitude_eigs(np.diag(np.arange(1.0, 9.0)), k=2)
 
 
 def test_singular_matrix_rejected_for_inverse_iteration():

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.blas
 
 import steklov.densela
 import steklov.operators
@@ -12,6 +13,7 @@ import steklov.spectrum
 from steklov import BoundaryCurve, DomainKind, builtin_families, make_builtin, scale_to_perimeter
 from steklov.curves import with_alpha
 from steklov.operators import DiscretizationError, build_dtn, fourier_diff_matrix, wittich_matrix
+from steklov.studies import curve_reflections
 from steklov.spectrum import (
     TRACE_TAIL_WARN,
     UnderResolvedWarning,
@@ -84,6 +86,37 @@ def test_disk_spectrum_small_grid(disk):
     assert np.max(np.abs(spec.lambdas - DISK_FIRST_TEN) / DISK_FIRST_TEN) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", [BOUNDED, EXTERIOR])
+@pytest.mark.parametrize("n", [6, 12])
+def test_disk_where_a_constant_start_vector_is_annihilated(kind, n):
+    # |η'| is constant, so M·1 = 0 exactly; Arnoldi must not start from 1
+    disk = make_builtin("disk", kind=kind)
+    for k in range(1, n // 2 - 1):
+        spec = solve_spectrum(disk, n, k)
+        assert np.max(np.abs(spec.lambdas - DISK_FIRST_TEN[:k])) <= 1e-12
+
+
+def test_start_vector_has_content_in_every_reflection_class(monkeypatch):
+    start = []
+    arpack = steklov.densela._arpack_eigs
+
+    def recording(*args, **kwargs):
+        start.append(kwargs["v0"])
+        return arpack(*args, **kwargs)
+
+    monkeypatch.setattr(steklov.densela, "_arpack_eigs", recording)
+    n = 256
+    spec = solve_spectrum(make_builtin("ellipse", {"r": 2.0}), n, 4)
+    v = start[0][:n]
+    shifts = curve_reflections(spec.grid.eta)
+    assert len(shifts) == 2
+    j = np.arange(n)
+    for s in shifts:
+        mirrored = v[(s - j) % n]
+        for part in (v + mirrored, v - mirrored):
+            assert np.linalg.norm(part / 2.0) >= 0.1 * np.linalg.norm(v)
+
+
 def test_trace_normalization_and_sign(disk):
     spec = solve_spectrum(disk, 32, 6)
     w = (2 * np.pi / 32) * spec.grid.speed
@@ -147,6 +180,35 @@ def test_one_factorization_and_neither_e_nor_q(kite_bounded, monkeypatch):
     solve_spectrum(kite_bounded, 128, 6)
     assert shapes == [(130, 130)]
     assert set(rhs_ndims) == {1}  # Arnoldi steps only; no matrix solve
+
+
+def test_b_and_the_factors_share_one_blas_runtime(kite_bounded, monkeypatch):
+    # numpy's @ would run on numpy's OpenBLAS thread pool, the solves on scipy's
+    gemv, gemm = scipy.linalg.blas.dgemv, scipy.linalg.blas.dgemm
+    solve = steklov.densela.LUFactors.solve
+    gemv_args, gemm_args, vector_solves = [], [], []
+
+    def counting_gemv(alpha, a, x, *args, **kwargs):
+        gemv_args.append(a)
+        return gemv(alpha, a, x, *args, **kwargs)
+
+    def counting_gemm(alpha, a, b, *args, **kwargs):
+        gemm_args.append((a, b.shape))
+        return gemm(alpha, a, b, *args, **kwargs)
+
+    def counting_solve(self, b):
+        vector_solves.append(np.ndim(b) == 1)
+        return solve(self, b)
+
+    monkeypatch.setattr(scipy.linalg.blas, "dgemv", counting_gemv)
+    monkeypatch.setattr(scipy.linalg.blas, "dgemm", counting_gemm)
+    monkeypatch.setattr(steklov.densela.LUFactors, "solve", counting_solve)
+    solve_spectrum(kite_bounded, 128, 6)
+    b = gemm_args[0][0]
+    assert b.shape == (128, 128)
+    assert all(a is b for a in gemv_args)
+    assert len(gemv_args) == sum(vector_solves) == len(vector_solves) > 0
+    assert [(a is b, shape) for a, shape in gemm_args] == [(True, (128, 2)), (True, (128, 6))]
 
 
 def test_k_may_cut_a_degenerate_pair(g1_curve):
