@@ -6,19 +6,14 @@ relevant spectrum is real (as for the Steklov pencil solved here).  It
 runs implicitly restarted Arnoldi iteration on A^{-1} M (ARPACK),
 driven by a single LU factorization of A, at every matrix size; ARPACK's
 machine-precision tolerance and default restart budget are used.  The
-starting vector is the fixed sum Σ_{m=1}^{k+2} (cos + sin)(2π m j / n)
-over the entries j of an n-vector, so repeated runs are bitwise
-reproducible.  It has no constant part and content in every reflection
-class of an equidistant grid: a constant start is even under every
-reflection, so odd modes would be reached only through rounding, and an
-M that annihilates constants (the disk's) maps it to zero.
+fixed start Σ_{m=1}^{k+2} (cos + sin)(2π m j / n) keeps runs bitwise
+reproducible; unlike a constant, it has content in every reflection class
+of a grid, and an M that annihilates constants (the disk's) cannot zero it.
 
-One BLAS runtime per solve: products with a matrix whose factors are
-solved with here, and the solves themselves, go through
-`scipy.linalg.blas` and `scipy.linalg.lapack`, never numpy's `@`.  numpy
-and scipy may each link their own OpenBLAS build, each with its own pool
-of worker threads; an Arnoldi loop that alternates between the two makes
-the pools compete for the same cores on every step.
+Products with a factored matrix and the solves go through scipy's BLAS and
+LAPACK, never numpy's `@`: numpy and scipy may link separate OpenBLAS
+builds, whose two thread pools an Arnoldi loop would make compete for the
+cores on every step.
 """
 
 from __future__ import annotations
@@ -70,11 +65,7 @@ class LUFactors:
         return self.lu.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x = b for one right-hand side or a matrix of them.
-
-        Calls LAPACK's getrs directly: `scipy.linalg.lu_solve` without its
-        per-call checks, which an Arnoldi step would pay every time.
-        """
+        """Solve A x = b (real b: a vector or columns) by getrs, skipping lu_solve's checks."""
         x, info = scipy.linalg.lapack.dgetrs(self.lu, self.piv, b)
         if info:
             raise ValueError(f"dgetrs: illegal value in argument {-info}")
@@ -191,8 +182,7 @@ def smallest_magnitude_eigs(a: np.ndarray | LUFactors, k: int, m=None) -> EigenP
         A is exactly singular (0 is then an eigenvalue; the inverse
         iteration has no meaning).
     EigenSolveError
-        Arnoldi did not converge within the restart budget, or ARPACK
-        failed otherwise.
+        ARPACK failed, or did not converge within the restart budget.
     ComplexEigenvalueError
         A requested eigenvalue is complex beyond rounding level.
     """

@@ -136,9 +136,7 @@ def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
     mx = np.zeros(n + 2)  # the solve copies it, so each step may overwrite it
 
     def apply_m(x):  # M x = [(B - I) D⁺ W x_1..n, 0, 0], D⁺ as in apply_diff_fast
-        coef = np.fft.rfft(grid.speed * x[:n])
-        coef *= pinv
-        g = np.fft.irfft(coef, n)
+        g = np.fft.irfft(np.fft.rfft(grid.speed * x[:n]) * pinv, n)
         np.subtract(blas.dgemv(1.0, b, g), g, out=mx[:n])
         return mx
 
