@@ -77,10 +77,10 @@ def main() -> int:
         write_json(outdir / f"crossing_k{kk}.json", {
             "k": res.k, "r": res.r, "lambda_low": res.lambda_low,
             "lambda_high": res.lambda_high, "gap": res.gap, "n": res.n,
-            "method": res.method, "solves": res.solves,
+            "solves": res.solves,
         })
         print(f"crossing k={kk}: r* = {fmt(res.r)}, gap = {fmt(res.gap)}, "
-              f"{res.method} in {res.solves} solves")
+              f"{res.solves} solves")
 
     print(f"artifacts written to {outdir}")
     return 0

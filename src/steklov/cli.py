@@ -352,14 +352,10 @@ def _cmd_crossing(args, outdir: Path) -> int:
             "lambda_high": result.lambda_high,
             "gap": result.gap,
             "n": result.n,
-            "method": result.method,
             "solves": result.solves,
         },
     )
-    print(
-        f"r_star = {fmt(result.r)}  gap = {fmt(result.gap)}  "
-        f"method = {result.method}  solves = {result.solves}"
-    )
+    print(f"r_star = {fmt(result.r)}  gap = {fmt(result.gap)}  solves = {result.solves}")
     return 0
 
 

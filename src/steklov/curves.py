@@ -85,6 +85,9 @@ class BoundaryCurve:
         Linear scale factor of parametric families; 1 otherwise.
     params : dict
         Family parameters used to build the curve (for serialization).
+    eta_r : callable or None
+        ∂η/∂r at fixed scale a of the families with a parameter r
+        (ellipse, star2); None otherwise.
     """
 
     name: str
@@ -95,6 +98,7 @@ class BoundaryCurve:
     alpha: complex | None = None
     scale: float = 1.0
     params: dict = field(default_factory=dict)
+    eta_r: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         t = nodes(_VALIDATION_N)
@@ -297,13 +301,14 @@ def _g2(params):
     return eta, eta1, eta2, 0.0 + 0.0j
 
 
+# Builder and ∂η/∂r of the a = 1 bounded member (None: no r and no scale).
 _FAMILIES = {
-    "disk": (_disk, False),
-    "ellipse": (_ellipse, True),
-    "star2": (_star2, True),
-    "kite": (_kite, False),
-    "g1": (_g1, False),
-    "g2": (_g2, False),
+    "disk": (_disk, None),
+    "ellipse": (_ellipse, lambda t: 1j * np.sin(t)),
+    "star2": (_star2, lambda t: np.cos(2 * t) * np.exp(1j * t)),
+    "kite": (_kite, None),
+    "g1": (_g1, None),
+    "g2": (_g2, None),
 }
 
 
@@ -313,7 +318,7 @@ def builtin_families() -> tuple[str, ...]:
 
 def _has_scale(family: str) -> bool:
     try:
-        return _FAMILIES[family][1]
+        return _FAMILIES[family][1] is not None
     except KeyError:
         raise CurveError(f"unknown curve family {family!r}; choose from {sorted(_FAMILIES)}") from None
 
@@ -344,18 +349,21 @@ def make_builtin(
     params = dict(params or {})
     if family not in _FAMILIES:
         raise CurveError(f"unknown curve family {family!r}; choose from {sorted(_FAMILIES)}")
-    builder, has_scale = _FAMILIES[family]
-    if not has_scale and "a" in params:
+    builder, eta_r1 = _FAMILIES[family]
+    if eta_r1 is None and "a" in params:
         raise CurveError(f"family {family!r} has no scale parameter")
     eta_b, eta1_b, eta2_b, default_alpha = builder(params)
+    scale = float(params.get("a", 1.0))
+    eta_r_b = None if eta_r1 is None else (lambda t: scale * eta_r1(t))
 
     if kind is DomainKind.UNBOUNDED_EXTERIOR:
         eta = lambda t: eta_b(-np.asarray(t))
         eta1 = lambda t: -eta1_b(-np.asarray(t))
         eta2 = lambda t: eta2_b(-np.asarray(t))
+        eta_r = None if eta_r_b is None else (lambda t: eta_r_b(-np.asarray(t)))
         alpha = None
     else:
-        eta, eta1, eta2 = eta_b, eta1_b, eta2_b
+        eta, eta1, eta2, eta_r = eta_b, eta1_b, eta2_b, eta_r_b
         alpha = default_alpha if alpha is None else alpha
 
     return BoundaryCurve(
@@ -365,8 +373,9 @@ def make_builtin(
         eta2=eta2,
         kind=kind,
         alpha=None if kind is DomainKind.UNBOUNDED_EXTERIOR else complex(alpha),
-        scale=float(params.get("a", 1.0)),
+        scale=scale,
         params=params,
+        eta_r=eta_r,
     )
 
 

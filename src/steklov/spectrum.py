@@ -21,6 +21,8 @@ stays on one OpenBLAS thread pool (see `steklov.densela`).
 Traces are normalized to (2π/n) Σ_j |η'(t_j)| γ(t_j)² = 1 with the
 largest-magnitude component positive.  A trace tail (Fourier energy in
 the bins >= 3n/8) above TRACE_TAIL_WARN issues an UnderResolvedWarning.
+`eigenvalue_derivatives` turns the traces of one solve into the shape
+derivatives of every eigenvalue, with no further solve.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
+from scipy.linalg import blas, eigh
 
 from .curves import BoundaryCurve, DomainKind, Grid
 from .densela import smallest_magnitude_eigs
@@ -48,12 +50,15 @@ __all__ = [
     "TRACE_TAIL_WARN",
     "UnderResolvedWarning",
     "assemble_q",
+    "eigenvalue_derivatives",
     "solve_spectrum",
 ]
 
 # Converged solves (eigenvalue error <= 1e-11) have trace tails <= 1e-6;
 # the kite at n = 64 (error 3e-7) has 3e-5.
 TRACE_TAIL_WARN = 1e-5
+# Consecutive eigenvalues closer than this, relative, form a degenerate pair.
+_DEGENERATE_GAP = 1e-10
 
 
 class UnderResolvedWarning(UserWarning):
@@ -184,3 +189,45 @@ def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
         perimeter=grid.perimeter,
         area=area,
     )
+
+
+def _normal_velocity(spectrum: SteklovSpectrum, velocity) -> tuple[np.ndarray, ...]:
+    """κ, V_n and ds of `eigenvalue_derivatives` on the grid of `spectrum`."""
+    grid = spectrum.grid
+    if np.shape(velocity) != (spectrum.n,):
+        raise ValueError(f"velocity must have shape ({spectrum.n},), got {np.shape(velocity)}")
+    kappa = np.imag(np.conj(grid.eta1) * spectrum.curve.eta2(grid.t)) * grid.rho**3
+    vn = np.real(velocity * np.conj(-1j * grid.eta1)) * grid.rho
+    return kappa, vn, (2.0 * np.pi / spectrum.n) * grid.speed
+
+
+def eigenvalue_derivatives(spectrum: SteklovSpectrum, velocity) -> np.ndarray:
+    """Shape derivatives λ'_j of every eigenvalue under the boundary velocity V = ∂η.
+
+    `velocity` samples V on the grid, shape (n,).  Hadamard's formula for
+    a simple Steklov eigenvalue (Dambrine, Kateb & Lamboley, Ann. IHP
+    Anal. Non Linéaire 33, 2016) is
+
+        λ' = ∫_Γ (|∂_τ u|² - λ² u² - λ κ u²) V_n ds,   ∫_Γ u² ds = 1,
+
+    with u = γ, ∂_τ u = γ'/|η'|, κ = Im(conj(η')·η'')/|η'|³, V_n =
+    Re(V·conj(ν)) for ν = -iη'/|η'| (out of the domain for both kinds)
+    and ds = (2π/n)|η'|.  A degenerate pair (consecutive eigenvalues
+    within 1e-10 relative) has no derivative; its two branches get the
+    sorted eigenvalues of the integrand's 2 × 2 matrix over the pair's
+    traces, relative to their Gram matrix.  O(nk), no solve.
+
+    Raises ValueError if `velocity` does not have shape (n,).
+    """
+    kappa, vn, ds = _normal_velocity(spectrum, velocity)
+    lam, u = spectrum.lambdas, spectrum.traces
+    du = apply_diff_fast(u) * spectrum.grid.rho[:, None]
+    w = (vn * ds)[:, None]
+    out = np.sum(w * (du**2 - (lam**2 + lam * kappa[:, None]) * u**2), axis=0)
+    for j in np.flatnonzero(np.diff(lam) <= _DEGENERATE_GAP * lam[1:]):
+        pair = slice(j, j + 2)
+        mean = lam[pair].mean()
+        a, b = du[:, pair], u[:, pair]
+        h = a.T @ (w * a) - b.T @ (w * (mean**2 + mean * kappa[:, None]) * b)
+        out[pair] = eigh(h, b.T @ (ds[:, None] * b), eigvals_only=True)
+    return out

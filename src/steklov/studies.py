@@ -12,25 +12,26 @@ for Steklov shape inequalities:
 
 Eigenvalue branches of the sorted spectrum may touch as r varies;
 `find_crossing` locates the parameter where two consecutive sorted
-eigenvalues coincide.  Branches that meet at a crossing of a
-symmetric curve belong to different reflection classes, so the gap
-signed by the order of the two classes has a simple root, which
-Brent's method finds in a handful of solves; golden-section
-minimization of the unsigned gap is the fallback.  For k-th
-eigenvalues of large index, λ_{2k-1} and λ_{2k} both approach
-2πk/|Γ|, and `asymptotic_gaps` reports the signed deviations from
-that law.
+eigenvalues coincide.  It runs Newton's method on the gap, with the
+gap's r-derivative taken from the shape derivatives of the solve
+already made (`spectrum.eigenvalue_derivatives`), inside a bracket
+that bisects when a step leaves it; an avoided crossing ends at the
+minimum of the gap.  For k-th eigenvalues of large index, λ_{2k-1}
+and λ_{2k} both approach 2πk/|Γ|, and `asymptotic_gaps` reports the
+signed deviations from that law.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import BoundaryCurve, CurveError, DomainKind, scale_to_perimeter
-from .spectrum import SteklovSpectrum, solve_spectrum
+from .spectrum import SteklovSpectrum, _normal_velocity, eigenvalue_derivatives, solve_spectrum
 
 __all__ = [
     "ConvergenceRecord",
@@ -49,7 +50,6 @@ __all__ = [
     "parameter_sweep",
 ]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
 
 
@@ -126,8 +126,11 @@ def paper_n_policy(family: str):
 def _resolve_policy(family: str, n_policy):
     if n_policy is None:
         return paper_n_policy(family)
-    if isinstance(n_policy, int):
-        return lambda r: n_policy
+    if isinstance(n_policy, numbers.Integral) and not isinstance(n_policy, bool):
+        n = int(n_policy)
+        return lambda r: n
+    if not callable(n_policy):
+        raise StudyError(f"n_policy must be an integer or a callable r -> n, got {n_policy!r}")
     return n_policy
 
 
@@ -142,7 +145,7 @@ def parameter_sweep(
     """Solve the family along r at fixed perimeter.
 
     n_policy may be None (benchmark default for the family), a fixed
-    int, or a callable r -> n.
+    integer (numpy integers included), or a callable r -> n.
     """
     policy = _resolve_policy(family, n_policy)
     records = []
@@ -171,9 +174,6 @@ def parameter_sweep(
 # A reflection must map the sampled boundary onto itself to this
 # fraction of its radius about the centroid.
 _REFLECTION_TOL = 1e-10
-# A trace whose parity |⟨γ, γ∘perm⟩_W| / ⟨γ, γ⟩_W falls below this
-# mixes two reflection classes and is not classified.
-_PARITY_MIN = 0.5
 # Gap, relative to λ_{k+1}, below which the two traces of a crossing
 # may mix; a pair that cannot be told apart there counts as the root.
 _MIXING_GAP = 1e-10
@@ -181,12 +181,7 @@ _MIXING_GAP = 1e-10
 
 @dataclass(frozen=True)
 class CrossingResult:
-    """Parameter where two consecutive sorted eigenvalues coincide.
-
-    ``solves`` counts the spectra solved by the search; ``method`` is
-    ``"brent"`` when the parity-signed gap was root-searched and
-    ``"golden"`` when the search fell back to minimizing the gap.
-    """
+    """Parameter where two consecutive sorted eigenvalues coincide, after ``solves`` solves."""
 
     k: int
     r: float
@@ -195,7 +190,6 @@ class CrossingResult:
     gap: float
     n: int
     solves: int
-    method: str
 
 
 def curve_reflections(eta: np.ndarray) -> list[int]:
@@ -221,76 +215,6 @@ def curve_reflections(eta: np.ndarray) -> list[int]:
     ]
 
 
-def _parity_class(spec: SteklovSpectrum, mode: int, shifts: list[int]):
-    """Signs of the parities of trace `mode` under each reflection, or None if mixed.
-
-    Each sign is keyed by the reflection's shift as a fraction of the
-    period, so classes from grids of different n compare equal.
-    """
-    n = spec.n
-    g = spec.traces[:, mode]
-    wg = spec.grid.speed * g
-    norm = np.dot(wg, g)
-    j = np.arange(n)
-    signs = []
-    for s in shifts:
-        parity = np.dot(wg, g[(s - j) % n]) / norm
-        if abs(parity) < _PARITY_MIN:
-            return None
-        signs.append((s / n, parity > 0.0))
-    return tuple(signs)
-
-
-class _NoParity(Exception):
-    """The parity-signed gap is undefined; the search falls back to golden section."""
-
-
-def _brent_root(
-    f, a: float, b: float, fa: float, fb: float, xtol: float
-) -> tuple[float, float]:
-    """Brent's root of f in [a, b], where fa and fb have opposite signs.
-
-    Inverse quadratic interpolation and secant steps, with bisection
-    whenever they do not shrink the bracket fast enough (Brent,
-    *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
-    Returns the final bracket (b, c), at most ~xtol wide, with
-    |f(b)| <= |f(c)|.
-    """
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * abs(b) + 0.5 * xtol
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return b, c
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
-
-
 def find_crossing(
     family: str,
     kind: DomainKind,
@@ -302,23 +226,17 @@ def find_crossing(
 ) -> CrossingResult:
     """Locate r* in the bracket where λ_k(r) and λ_{k+1}(r) coincide.
 
-    Where the two branches belong to different reflection classes of
-    the curve, their signed difference has a simple root.  The
-    reflections are detected from the boundary samples
-    (`curve_reflections`), each of the two traces is classified by its
-    parities ⟨γ, γ∘perm⟩_W under them (W = |η'|), and Brent's method
-    finds the root of g(r) = (λ_{k+1} - λ_k)·σ(r), where σ = ±1 by
-    the order of the pair's two classes in a fixed order of classes.
-    That takes about 7 solves to r_tol.
-
-    The search falls back to golden-section minimization of the
-    (nonnegative, V-shaped near a crossing) gap, which takes ~40
-    solves and reuses the ones already made, when the curve has no
-    reflection or more than two (the disk), when an evaluated pair of
-    traces shares a class or mixes classes away from a crossing, when
-    g does not change sign over the bracket, or when the ends of the
-    final bracket do not hold the same two classes, swapped (g jumped
-    where a third branch crossed in).
+    Safeguarded Newton on the unsigned gap g = λ_{k+1} - λ_k from the
+    bracket midpoint.  Each solve gives g' from the shape derivatives of
+    its own traces (`eigenvalue_derivatives`) under V = a·∂_rη₁ - (P'/P)·η,
+    which moves r at fixed perimeter P, with P' = ∫ κ V_n ds.  Beside a
+    true crossing g = |s| and g' = sign(s)·s' for the analytic signed
+    gap s, so g/g' is Newton's step on s, and the sign of g' says on
+    which side of r the crossing lies.  Steps that leave the bracket, and
+    g' = 0, bisect, so an avoided crossing ends at the minimum of the
+    gap.  The search stops at a gap below 1e-10·λ_{k+1} (the two traces
+    may mix there), or when the step or the bracket falls below r_tol,
+    floored at a few ulps of r; a crossing takes 3-4 solves.
 
     Fails if the crossing sits at a bracket endpoint, i.e. the
     bracket does not contain an interior near-crossing.
@@ -333,91 +251,58 @@ def find_crossing(
         raise StudyError(f"r_tol must be finite and positive, got {r_tol}")
     policy = _resolve_policy(family, n_policy)
 
-    # r -> (λ_k, λ_{k+1}, n, parity classes of the pair or None)
-    cache: dict[float, tuple[float, float, int, tuple | None]] = {}
+    @functools.cache
+    def solve_at(r: float) -> SteklovSpectrum:
+        n = int(policy(r))
+        curve = scale_to_perimeter(family, {"r": r}, target_perimeter, n, kind=kind)
+        return solve_spectrum(curve, n, k + 1)
 
-    def solve_at(r: float):
-        if r not in cache:
-            n = int(policy(r))
-            curve = scale_to_perimeter(family, {"r": r}, target_perimeter, n, kind=kind)
-            spec = solve_spectrum(curve, n, k + 1)
-            shifts = curve_reflections(spec.grid.eta)
-            pair = None
-            if len(shifts) in (1, 2):
-                pair = (_parity_class(spec, k - 1, shifts), _parity_class(spec, k, shifts))
-            cache[r] = (float(spec.lambdas[k - 1]), float(spec.lambdas[k]), n, pair)
-        return cache[r]
+    def gap_at(r: float) -> tuple[float, float]:
+        spec = solve_at(r)
+        low, high = spec.lambdas[k - 1], spec.lambdas[k]
+        if high - low <= _MIXING_GAP * high:
+            return 0.0, 0.0
+        v = spec.curve.eta_r(spec.grid.t)
+        kappa, vn, ds = _normal_velocity(spec, v)
+        v = v - (np.sum(kappa * vn * ds) / spec.perimeter) * spec.grid.eta
+        slope = eigenvalue_derivatives(spec, v)
+        return high - low, slope[k] - slope[k - 1]
 
-    def eval_gap(r: float) -> float:
-        low, high, _, _ = solve_at(r)
-        return high - low
-
-    try:
-        r_star = _parity_root(solve_at, lo, hi, r_tol)
-        method = "brent"
-    except _NoParity:
-        r_star = _golden_min(eval_gap, lo, hi, r_tol)
-        method = "golden"
-
+    r_star = _newton_gap(gap_at, lo, hi, r_tol)
     edge = max(r_tol, 1e-6 * (hi - lo))
     if min(r_star - lo, hi - r_star) <= edge:
         raise StudyError(
             f"crossing estimate r={r_star:.10g} sits at the bracket edge; no interior crossing"
         )
-    low, high, n, _ = solve_at(r_star)
+    spec = solve_at(r_star)
+    low, high = float(spec.lambdas[k - 1]), float(spec.lambdas[k])
     return CrossingResult(
-        k=k, r=r_star, lambda_low=low, lambda_high=high, gap=high - low, n=n,
-        solves=len(cache), method=method,
+        k=k, r=r_star, lambda_low=low, lambda_high=high, gap=high - low, n=spec.n,
+        solves=solve_at.cache_info().misses,
     )
 
 
-def _parity_root(solve_at, lo: float, hi: float, r_tol: float) -> float:
-    """Brent root of the parity-signed gap; raises _NoParity where it is undefined.
+def _newton_gap(gap_at, lo: float, hi: float, r_tol: float) -> float:
+    """Root or minimum of a gap ≥ 0 in (lo, hi) as in `find_crossing`; gap_at(r) -> (g, g').
 
-    The sign is + while λ_k's class precedes λ_{k+1}'s in the (fixed,
-    arbitrary) tuple order of classes.  g jumps where a third branch
-    crosses in, so the final bracket must hold the same two classes,
-    swapped, at its two ends.
+    g = 0 marks a root; g' > 0 puts the root or minimum below r.
     """
-
-    def signed_gap(r: float) -> float:
-        low, high, _, pair = solve_at(r)
-        if pair is not None and None not in pair and pair[0] != pair[1]:
-            return high - low if pair[0] < pair[1] else low - high
-        if high - low <= _MIXING_GAP * high:
-            return 0.0
-        raise _NoParity
-
-    g_lo, g_hi = signed_gap(lo), signed_gap(hi)
-    if not g_lo * g_hi < 0.0:
-        raise _NoParity
-    b, c = _brent_root(signed_gap, lo, hi, g_lo, g_hi, r_tol)
-    if signed_gap(b) != 0.0 and solve_at(c)[3] != solve_at(b)[3][::-1]:
-        raise _NoParity
-    return b
-
-
-def _golden_min(f, lo: float, hi: float, r_tol: float) -> float:
-    """Golden-section minimizer of f on [lo, hi], to a bracket of r_tol.
-
-    The tolerance is floored at a few ulps of the bracket so the loop
-    ends even when r_tol is below the float spacing there.
-    """
-    tol = max(r_tol, 8.0 * _EPS * max(abs(lo), abs(hi)))
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
+    r = 0.5 * (lo + hi)
+    while True:
+        g, slope = gap_at(r)
+        if g == 0.0:
+            return r
+        if slope > 0.0:
+            hi = r
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+            lo = r
+        r_next = r - g / slope if slope != 0.0 else math.nan
+        if not lo < r_next < hi:  # a nan bisects too
+            r_next = 0.5 * (lo + hi)
+        tol = max(r_tol, 8.0 * _EPS * abs(r))
+        if abs(r_next - r) <= tol or hi - lo <= tol:
+            return r_next
+        r = r_next
 
 
 # ---------------------------------------------------------------------------

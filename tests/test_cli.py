@@ -376,10 +376,10 @@ def test_crossing_json(tmp_path, capsys):
     payload = json.loads((tmp_path / "crossing.json").read_text())
     assert payload["k"] == 2
     assert abs(payload["r"] - 1.98387) < 1e-3
-    assert payload["method"] == "brent"
+    assert "method" not in payload
     assert 2 <= payload["solves"] <= 10
     out = capsys.readouterr().out
-    assert f"method = brent  solves = {payload['solves']}" in out
+    assert f"gap = {fmt(payload['gap'])}  solves = {payload['solves']}" in out
 
 
 def test_crossing_zero_r_tol_is_config_error(tmp_path, capsys):

@@ -91,6 +91,21 @@ def test_derivatives_match_finite_differences(family, params, kind):
     assert np.max(np.abs(d2 - c.eta2(t))) < 1e-6 * np.max(np.abs(c.eta2(t)))
 
 
+@pytest.mark.parametrize("family,params", ALL_FAMILY_CASES)
+@pytest.mark.parametrize("kind", list(DomainKind))
+def test_r_derivative_matches_finite_differences(family, params, kind):
+    c = make_builtin(family, params, kind=kind)
+    if "r" not in params:
+        assert c.eta_r is None
+        return
+    t = np.linspace(0.1, 2 * np.pi, 17)
+    r, a, h = params["r"], 1.7, 1e-5
+    c = make_builtin(family, {"r": r, "a": a}, kind=kind)
+    up = make_builtin(family, {"r": r + h, "a": a}, kind=kind).eta(t)
+    down = make_builtin(family, {"r": r - h, "a": a}, kind=kind).eta(t)
+    assert np.max(np.abs((up - down) / (2 * h) - c.eta_r(t))) < 1e-9
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     t=st.floats(min_value=0.0, max_value=2 * np.pi - 1e-9),

@@ -18,6 +18,7 @@ from steklov.spectrum import (
     TRACE_TAIL_WARN,
     UnderResolvedWarning,
     assemble_q,
+    eigenvalue_derivatives,
     solve_spectrum,
 )
 
@@ -366,3 +367,60 @@ def test_interior_and_exterior_share_asymptotic_slope(kite_bounded, kite_exterio
         near = abs(spec.lambdas[2 * 28 - 1] - slope * 28)
         far = abs(spec.lambdas[2 * 18 - 1] - slope * 18)
         assert near < far
+
+
+# ---------------------------------------------------------------------------
+# Shape derivatives
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "kind, first_pair", [(BOUNDED, (-1.25, 0.25)), (EXTERIOR, (-0.75, -0.25))]
+)
+def test_degenerate_pair_derivatives_on_the_disk(kind, first_pair):
+    # V = i sin t is the ellipse's ∂_r η at r = 1 (t ↦ -t for the exterior);
+    # each degenerate pair splits into the branches of ellipse(1 + h).
+    disk = make_builtin("disk", kind=kind)
+    spec = solve_spectrum(disk, 256, 6)
+    t = spec.grid.t
+    velocity = 1j * np.sin(t if kind is BOUNDED else -t)
+    assert np.array_equal(velocity, make_builtin("ellipse", {"r": 1.0}, kind=kind).eta_r(t))
+    derivs = eigenvalue_derivatives(spec, velocity)
+    h = 1e-7
+    step = solve_spectrum(make_builtin("ellipse", {"r": 1.0 + h}, kind=kind), 256, 6)
+    assert np.max(np.abs(derivs - (step.lambdas - spec.lambdas) / h)) <= 1e-5
+    assert np.max(np.abs(derivs[:2] - first_pair)) <= 1e-12
+
+
+def test_velocity_shape_is_checked(disk):
+    spec = solve_spectrum(disk, 64, 4)
+    for velocity in (np.ones(65), np.ones((64, 1)), np.ones(())):
+        with pytest.raises(ValueError, match="shape"):
+            eigenvalue_derivatives(spec, velocity)
+
+
+@pytest.mark.parametrize("family, r", [("ellipse", 2.0), ("ellipse", 3.5), ("star2", 0.3),
+                                       ("star2", 0.6)])
+@pytest.mark.parametrize("kind", [BOUNDED, EXTERIOR])
+def test_eigenvalue_derivatives_match_central_differences(family, r, kind):
+    spec = solve_spectrum(make_builtin(family, {"r": r}, kind=kind), 256, 6)
+    derivs = eigenvalue_derivatives(spec, spec.curve.eta_r(spec.grid.t))
+    h = 1e-5
+    up, down = (
+        solve_spectrum(make_builtin(family, {"r": r + s}, kind=kind), 256, 6).lambdas
+        for s in (h, -h)
+    )
+    fd = (up - down) / (2.0 * h)
+    assert np.max(np.abs(derivs - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("family", builtin_families())
+@pytest.mark.parametrize("kind", [BOUNDED, EXTERIOR])
+def test_shape_derivative_invariants(family, kind):
+    # dilation V = η scales λ by 1/(1 + ε); rotation and translations keep it
+    spec = solve_spectrum(make_builtin(family, kind=kind), 512, 10)
+    eta = spec.grid.eta
+    lam = spec.lambdas
+    dilation = eigenvalue_derivatives(spec, eta)
+    assert np.max(np.abs(dilation + lam) / lam) <= 1e-12
+    for velocity in (1j * eta, np.ones(512), np.full(512, 1j)):
+        assert np.max(np.abs(eigenvalue_derivatives(spec, velocity))) <= 1e-12 * np.max(lam)

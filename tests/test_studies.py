@@ -36,8 +36,6 @@ ELLIPSE_CROSSINGS = {
 }
 # Both eigenvalues at the k = 2 crossing.
 ELLIPSE_K2_CROSSING_VALUE = 1.679239176823
-# Golden-section r* for k = 2 on (1.7, 2.3) at n = 256, r_tol = 1e-8.
-ELLIPSE_K2_GOLDEN_R = 1.9838737085235256
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +106,25 @@ def test_sweep_n_policy():
     assert policy(0.7) == 2048
 
 
+def test_n_policy_may_be_a_numpy_integer():
+    records = parameter_sweep(
+        "ellipse", DomainKind.BOUNDED_INTERIOR, [2.0], 3, n_policy=np.int64(96)
+    )
+    assert records[0].n == 96 and type(records[0].n) is int
+    result = find_crossing(
+        "ellipse", DomainKind.BOUNDED_INTERIOR, 2, (1.8, 2.2), r_tol=1e-4, n_policy=np.int64(96)
+    )
+    assert result.n == 96 and type(result.n) is int
+
+
+@pytest.mark.parametrize("n_policy", [64.0, True, "64"])
+def test_n_policy_must_be_an_integer_or_callable(n_policy):
+    with pytest.raises(StudyError, match="n_policy"):
+        parameter_sweep("ellipse", DomainKind.BOUNDED_INTERIOR, [2.0], 3, n_policy=n_policy)
+    with pytest.raises(StudyError, match="n_policy"):
+        find_crossing("ellipse", DomainKind.BOUNDED_INTERIOR, 2, (1.8, 2.2), n_policy=n_policy)
+
+
 def test_bounded_first_eigenvalue_decreases_along_families():
     for family, r_values in (("ellipse", [1.0, 2.0, 4.0]), ("star2", [0.0, 0.3, 0.5])):
         records = parameter_sweep(
@@ -147,20 +164,18 @@ def test_crossing_k2_reproduces_reference():
     assert result.gap <= 1e-6
     assert result.lambda_low == pytest.approx(ELLIPSE_K2_CROSSING_VALUE, abs=1e-8)
     assert result.lambda_high == pytest.approx(ELLIPSE_K2_CROSSING_VALUE, abs=1e-8)
-    assert result.method == "brent"
 
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("shift", [-0.15, -0.10, 0.0, 0.15])
 def test_crossing_brent_across_bracket_shifts(k, shift):
-    # (2.40, 3.40) for k = 3 lands on the crossing itself, where the two
-    # traces mix; (2.35, 3.35) starts below a crossing of λ_4 with λ_5.
+    # Newton from the midpoint; for k = 3 the last iterate may land on
+    # the crossing itself, where the two traces mix.
     lo, hi = {2: (1.5, 2.5), 3: (2.5, 3.5)}[k]
     result = find_crossing(
         "ellipse", DomainKind.BOUNDED_INTERIOR, k, (lo + shift, hi + shift), n_policy=256
     )
-    assert result.method == "brent"
-    assert result.solves <= 10
+    assert result.solves <= 5
     expected = ELLIPSE_CROSSINGS[k]
     assert abs(result.r - expected) / expected <= 1e-6
     assert result.gap <= 1e-6
@@ -195,18 +210,21 @@ def test_curve_reflections_on_builtins(family, params, count, kind):
         assert np.max(np.abs(mirrored - u * np.conj(eta) - c)) <= 1e-12 * np.max(np.abs(eta))
 
 
-@pytest.mark.parametrize(
-    "detector", [lambda eta: [], lambda eta: list(range(eta.size))], ids=["none", "disk-like"]
-)
-def test_crossing_falls_back_to_golden(monkeypatch, detector):
-    monkeypatch.setattr(studies, "curve_reflections", detector)
-    result = find_crossing(
-        "ellipse", DomainKind.BOUNDED_INTERIOR, 2, (1.7, 2.3), n_policy=256
-    )
-    assert result.method == "golden"
-    assert result.r == pytest.approx(ELLIPSE_K2_GOLDEN_R, rel=1e-12)
-    assert result.lambda_low == pytest.approx(ELLIPSE_K2_CROSSING_VALUE, abs=1e-8)
-    assert result.solves == 42
+def test_newton_gap_converges_to_minimum_of_avoided_crossing():
+    # g = sqrt(x² + c²) + x/2 with x = r - 2.1 never vanishes: it has its
+    # minimum c·√3/2 where g' = 0, at x = -c/√3.
+    c = 0.05
+    calls = []
+
+    def gap_at(r):
+        calls.append(r)
+        x = r - 2.1
+        root = np.hypot(x, c)
+        return root + 0.5 * x, x / root + 0.5
+
+    r = studies._newton_gap(gap_at, 1.7, 2.3, 1e-10)
+    assert r == pytest.approx(2.1 - c / np.sqrt(3.0), abs=1e-9)
+    assert len(calls) <= 60
 
 
 def test_crossing_rejects_monotone_bracket():
@@ -236,13 +254,11 @@ def test_crossing_rejects_invalid_r_tol(r_tol):
         )
 
 
-def test_golden_fallback_ends_below_float_spacing(monkeypatch):
+def test_crossing_ends_below_float_spacing():
     # r_tol far below the float spacing at r ~ 2 must still terminate
-    monkeypatch.setattr(studies, "curve_reflections", lambda eta: [])
     result = find_crossing(
         "ellipse", DomainKind.BOUNDED_INTERIOR, 2, (1.8, 2.2), r_tol=1e-300, n_policy=64
     )
-    assert result.method == "golden"
     assert abs(result.r - ELLIPSE_CROSSINGS[2]) < 1e-3
 
 
@@ -265,7 +281,6 @@ def test_all_eight_crossings(k):
     )
     assert abs(result.r - expected) / expected <= 1e-6
     assert result.gap <= 1e-6
-    assert result.method == "brent"
 
 
 def test_import_leaves_scipy_optimize_unloaded():
