@@ -9,25 +9,27 @@ parametrized clockwise.  Exterior members of the builtin families are
 obtained from the bounded parametrization by t ↦ -t, which reverses
 the orientation without changing the curve.
 
-Builtin families (bounded orientation):
+Builtin families (bounded orientation).  All but g2 are trigonometric
+polynomials η(t) = a Σ_m (c⁰_m + r c¹_m) e^{imt}, given by one table of
+coefficients from which η', η'', ∂η/∂r and the default base point (the
+mean a (c⁰_0 + r c¹_0) of η) are derived.  A family takes r and a > 0
+exactly when it has c¹; star2 pinches off into two regions at r = 1:
 
-    disk      e^{it}
-    ellipse   a (cos t + i r sin t),              r >= 1, a > 0
-    star2     a (1 + r cos 2t) e^{it},            0 <= r < 1, a > 0
-    kite      1.5 cos t + 0.7 cos 2t - 0.4 + i (1.5 sin t - 0.3 cos t)
-    g1        8 + 5 e^{it} + 0.5 e^{6it}
+    disk      c⁰ = {1: 1}
+    ellipse   c⁰ = {1: ½, -1: ½},  c¹ = {1: ½, -1: -½},   r >= 1 (default 1)
+    star2     c⁰ = {1: 1},  c¹ = {3: ½, -1: ½},           0 <= r < 1 (default 0.5)
+    kite      c⁰ = {0: -0.4, 1: 1.5 - 0.15i, -1: -0.15i, 2: 0.35, -2: 0.35}
+    g1        c⁰ = {0: 8, 1: 5, 6: 0.5}
     g2        0.4 i e^{it} sqrt(2 / (1.16 - 0.84 e^{2it}))
-
-`star2` approaches a pinched figure-eight as r → 1; r = 1 itself is
-rejected because the enclosed region then splits in two.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -81,13 +83,10 @@ class BoundaryCurve:
     alpha : complex or None
         Base point strictly inside a bounded domain; None for
         exterior domains (the auxiliary boundary weight is 1 there).
-    scale : float
-        Linear scale factor of parametric families; 1 otherwise.
     params : dict
-        Family parameters used to build the curve (for serialization).
+        Family parameters (floats) used to build the curve (for serialization).
     eta_r : callable or None
-        ∂η/∂r at fixed scale a of the families with a parameter r
-        (ellipse, star2); None otherwise.
+        ∂η/∂r at fixed scale a of the families that have r; None otherwise.
     """
 
     name: str
@@ -96,7 +95,6 @@ class BoundaryCurve:
     eta2: Callable[[np.ndarray], np.ndarray]
     kind: DomainKind
     alpha: complex | None = None
-    scale: float = 1.0
     params: dict = field(default_factory=dict)
     eta_r: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -209,76 +207,46 @@ def _encloses_once(w: float) -> bool:
 # Builtin families
 # ---------------------------------------------------------------------------
 
-def _disk(params):
-    return (
-        lambda t: np.exp(1j * t),
-        lambda t: 1j * np.exp(1j * t),
-        lambda t: -np.exp(1j * t),
-        0.0 + 0.0j,
-    )
+class _Family(NamedTuple):  # a row of the table in the module docstring; r_min <= r < r_max
+    c0: dict | None  # None: not a trigonometric polynomial (g2)
+    c1: dict | None = None
+    r_default: float = 0.0
+    r_min: float = 0.0
+    r_max: float = math.inf
 
 
-def _ellipse(params):
-    r = float(params.get("r", 1.0))
-    a = float(params.get("a", 1.0))
-    if r < 1.0:
-        raise CurveError(f"ellipse requires r >= 1, got r={r}")
-    if a <= 0.0:
-        raise CurveError(f"ellipse requires a > 0, got a={a}")
-    return (
-        lambda t: a * (np.cos(t) + 1j * r * np.sin(t)),
-        lambda t: a * (-np.sin(t) + 1j * r * np.cos(t)),
-        lambda t: a * (-np.cos(t) - 1j * r * np.sin(t)),
-        0.0 + 0.0j,
-    )
+_FAMILIES = {
+    "disk": _Family({1: 1.0}),
+    "ellipse": _Family({1: 0.5, -1: 0.5}, {1: 0.5, -1: -0.5}, r_default=1.0, r_min=1.0),
+    "star2": _Family({1: 1.0}, {3: 0.5, -1: 0.5}, r_default=0.5, r_max=1.0),
+    "kite": _Family({0: -0.4, 1: 1.5 - 0.15j, -1: -0.15j, 2: 0.35, -2: 0.35}),
+    "g1": _Family({0: 8.0, 1: 5.0, 6: 0.5}),
+    "g2": _Family(None),
+}
 
 
-def _star2(params):
-    r = float(params.get("r", 0.5))
-    a = float(params.get("a", 1.0))
-    if not 0.0 <= r < 1.0:
-        raise CurveError(f"star2 requires 0 <= r < 1 (the region pinches off at r=1), got r={r}")
-    if a <= 0.0:
-        raise CurveError(f"star2 requires a > 0, got a={a}")
-
-    def eta(t):
-        return a * (1.0 + r * np.cos(2 * t)) * np.exp(1j * t)
-
-    def eta1(t):
-        return a * (1j * (1.0 + r * np.cos(2 * t)) - 2.0 * r * np.sin(2 * t)) * np.exp(1j * t)
-
-    def eta2(t):
-        rad = 1.0 + r * np.cos(2 * t)
-        rad1 = -2.0 * r * np.sin(2 * t)
-        rad2 = -4.0 * r * np.cos(2 * t)
-        return a * (rad2 + 2j * rad1 - rad) * np.exp(1j * t)
-
-    return eta, eta1, eta2, 0.0 + 0.0j
+def _trig_sum(coeffs: dict, p: int) -> Callable[[np.ndarray], np.ndarray]:
+    """t ↦ η⁽ᵖ⁾(t) for η = Σ_m c_m e^{imt} = c_0 + Σ_{m>0} (u_m cos mt + v_m sin mt)."""
+    terms = []
+    for m in sorted({abs(k) for k in coeffs} - {0}):
+        up, down = coeffs.get(m, 0.0), coeffs.get(-m, 0.0)
+        u, v = up + down, 1j * (up - down)
+        for _ in range(p):  # d/dt (u cos mt + v sin mt) = m v cos mt - m u sin mt
+            u, v = m * v, -m * u
+        terms.append((m, u, v))
+    c0 = coeffs.get(0, 0.0) if p == 0 else 0.0
+    return lambda t: sum((u * np.cos(m * t) + v * np.sin(m * t) for m, u, v in terms), c0)
 
 
-def _kite(params):
-    def eta(t):
-        return 1.5 * np.cos(t) + 0.7 * np.cos(2 * t) - 0.4 + 1j * (1.5 * np.sin(t) - 0.3 * np.cos(t))
-
-    def eta1(t):
-        return -1.5 * np.sin(t) - 1.4 * np.sin(2 * t) + 1j * (1.5 * np.cos(t) + 0.3 * np.sin(t))
-
-    def eta2(t):
-        return -1.5 * np.cos(t) - 2.8 * np.cos(2 * t) + 1j * (-1.5 * np.sin(t) + 0.3 * np.cos(t))
-
-    return eta, eta1, eta2, -0.4 + 0.0j
+def _trig(row: _Family, params: dict):
+    r, a = params.get("r", row.r_default), params.get("a", 1.0)
+    c1 = row.c1 or {}
+    coeffs = {m: a * (row.c0.get(m, 0.0) + r * c1.get(m, 0.0)) for m in {**row.c0, **c1}}
+    eta_r = _trig_sum({m: a * c for m, c in c1.items()}, 0) if c1 else None
+    return (*(_trig_sum(coeffs, p) for p in range(3)), eta_r, complex(coeffs.get(0, 0.0)))
 
 
-def _g1(params):
-    return (
-        lambda t: 8.0 + 5.0 * np.exp(1j * t) + 0.5 * np.exp(6j * t),
-        lambda t: 5j * np.exp(1j * t) + 3j * np.exp(6j * t),
-        lambda t: -5.0 * np.exp(1j * t) - 18.0 * np.exp(6j * t),
-        8.0 + 0.0j,
-    )
-
-
-def _g2(params):
+def _g2():
     # eta = 0.4i e^{it} g(t)^{1/2} with g = 2/(1.16 - 0.84 e^{2it});
     # the radicand stays in the right half-plane, so the principal
     # square root is smooth and 2π-periodic.  With
@@ -298,29 +266,32 @@ def _g2(params):
         h = _h(t)
         return -(1.0 + h) * (1.0 + 3.0 * h) * eta(t)
 
-    return eta, eta1, eta2, 0.0 + 0.0j
-
-
-# Builder and ∂η/∂r of the a = 1 bounded member (None: no r and no scale).
-_FAMILIES = {
-    "disk": (_disk, None),
-    "ellipse": (_ellipse, lambda t: 1j * np.sin(t)),
-    "star2": (_star2, lambda t: np.cos(2 * t) * np.exp(1j * t)),
-    "kite": (_kite, None),
-    "g1": (_g1, None),
-    "g2": (_g2, None),
-}
+    return eta, eta1, eta2, None, 0.0 + 0.0j
 
 
 def builtin_families() -> tuple[str, ...]:
     return tuple(_FAMILIES)
 
 
-def _has_scale(family: str) -> bool:
-    try:
-        return _FAMILIES[family][1] is not None
-    except KeyError:
-        raise CurveError(f"unknown curve family {family!r}; choose from {sorted(_FAMILIES)}") from None
+def _lookup(family: str, params: dict | None) -> tuple[_Family, dict]:
+    """The family's table row, and its parameters as floats checked by name and value against it."""
+    if family not in _FAMILIES:
+        raise CurveError(f"unknown curve family {family!r}; choose from {sorted(_FAMILIES)}")
+    if not isinstance(params or {}, dict):
+        raise CurveError(f"params must be a mapping of name: value, got {params!r}")
+    row = _FAMILIES[family]
+    names = [] if row.c1 is None else ["r", "a"]
+    checked = {}
+    for name, value in (params or {}).items():
+        if name not in names:
+            raise CurveError(f"{family} takes {' and '.join(names) or 'no parameters'}, not {name!r}")
+        if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
+            raise CurveError(f"{family} parameter {name} must be a number, got {value!r}")
+        checked[name] = float(value)  # a string that is no number raises ValueError
+    r, a = checked.get("r", row.r_default), checked.get("a", 1.0)
+    if not (row.r_min <= r < row.r_max and 0.0 < a < math.inf):  # False for a nan too
+        raise CurveError(f"{family} needs {row.r_min:g} <= r < {row.r_max:g}, 0 < a < inf: {checked}")
+    return row, checked
 
 
 def make_builtin(
@@ -336,7 +307,7 @@ def make_builtin(
     family : str
         One of ``builtin_families()``.
     params : dict, optional
-        Family parameters (``r``, ``a`` where applicable).
+        Family parameters (``r``, ``a`` where applicable), checked by name and value.
     kind : DomainKind
         Bounded interior (counterclockwise) or unbounded exterior;
         the exterior parametrization is the bounded one composed with
@@ -346,15 +317,8 @@ def make_builtin(
         mean of the parametrization over one period (the series center),
         which every builtin encloses.
     """
-    params = dict(params or {})
-    if family not in _FAMILIES:
-        raise CurveError(f"unknown curve family {family!r}; choose from {sorted(_FAMILIES)}")
-    builder, eta_r1 = _FAMILIES[family]
-    if eta_r1 is None and "a" in params:
-        raise CurveError(f"family {family!r} has no scale parameter")
-    eta_b, eta1_b, eta2_b, default_alpha = builder(params)
-    scale = float(params.get("a", 1.0))
-    eta_r_b = None if eta_r1 is None else (lambda t: scale * eta_r1(t))
+    row, params = _lookup(family, params)
+    eta_b, eta1_b, eta2_b, eta_r_b, default_alpha = _g2() if row.c0 is None else _trig(row, params)
 
     if kind is DomainKind.UNBOUNDED_EXTERIOR:
         eta = lambda t: eta_b(-np.asarray(t))
@@ -364,7 +328,7 @@ def make_builtin(
         alpha = None
     else:
         eta, eta1, eta2, eta_r = eta_b, eta1_b, eta2_b, eta_r_b
-        alpha = default_alpha if alpha is None else alpha
+        alpha = complex(default_alpha if alpha is None else alpha)
 
     return BoundaryCurve(
         name=family,
@@ -372,8 +336,7 @@ def make_builtin(
         eta1=eta1,
         eta2=eta2,
         kind=kind,
-        alpha=None if kind is DomainKind.UNBOUNDED_EXTERIOR else complex(alpha),
-        scale=scale,
+        alpha=alpha,
         params=params,
         eta_r=eta_r,
     )
@@ -419,11 +382,10 @@ def scale_to_perimeter(
     """
     if target <= 0.0:
         raise CurveError(f"target perimeter must be positive, got {target}")
-    if not _has_scale(family):
+    row, params = _lookup(family, params)
+    if row.c1 is None:
         raise CurveError(f"family {family!r} has no scale parameter to adjust")
-    params = dict(params or {})
-    params["a"] = 1.0
-    reference = make_builtin(family, params, kind=kind, alpha=alpha)
+    reference = make_builtin(family, {**params, "a": 1.0}, kind=kind, alpha=alpha)
     params["a"] = target / perimeter(reference, n)
     return make_builtin(family, params, kind=kind, alpha=alpha)
 
@@ -445,9 +407,7 @@ def curve_from_spec(spec: dict, n: int = 256) -> BoundaryCurve:
     if "family" not in spec:
         raise CurveError("curve spec requires a 'family' key")
     family = str(spec["family"])
-    params = spec.get("params") or {}
-    if not isinstance(params, dict):
-        raise CurveError(f"params must be a JSON object of name: value, got {params!r}")
+    params = spec.get("params")
     kind_key = str(spec.get("kind", "bounded"))
     try:
         kind = DomainKind(kind_key)
@@ -469,7 +429,7 @@ def curve_to_spec(curve: BoundaryCurve) -> dict:
     """Serialize a builtin curve to a config mapping with resolved scale."""
     spec: dict = {"family": curve.name, "kind": curve.kind.value}
     if curve.params:
-        spec["params"] = {k: float(v) for k, v in curve.params.items()}
+        spec["params"] = dict(curve.params)
     if curve.alpha is not None:
         spec["alpha"] = [float(curve.alpha.real), float(curve.alpha.imag)]
     return spec

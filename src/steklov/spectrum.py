@@ -217,6 +217,12 @@ def eigenvalue_derivatives(spectrum: SteklovSpectrum, velocity) -> np.ndarray:
     sorted eigenvalues of the integrand's 2 × 2 matrix over the pair's
     traces, relative to their Gram matrix.  O(nk), no solve.
 
+    Only pairs inside the solve are seen.  When k cuts a degenerate pair
+    in half, the last mode gets the one-mode formula, whose value depends
+    on the vector ARPACK picked in the eigenspace (on the disk with k = 1
+    and V = i sin t it reads -1.2486 against the branch value -1.25);
+    solve k + 1 modes when the last one may be half of a pair.
+
     Raises ValueError if `velocity` does not have shape (n,).
     """
     kappa, vn, ds = _normal_velocity(spectrum, velocity)

@@ -157,7 +157,7 @@ def parameter_sweep(
         records.append(
             SweepRecord(
                 r=r,
-                a=curve.scale,
+                a=curve.params["a"],
                 perimeter=spec.perimeter,
                 area=spec.area,
                 lambdas=spec.lambdas,

@@ -185,11 +185,29 @@ def test_bad_user_input_is_config_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "family,params",
+    [("ellipse", "R=2"), ("kite", "r=0.5"), ("ellipse", "r=nan"), ("star2", "a=inf")],
+)
+def test_bad_curve_parameter_flag_is_curve_error(tmp_path, capsys, family, params):
+    argv = ["solve", "--curve", family, "--params", params, "--n", "32", "--k", "2"]
+    assert run_cli([*argv, "--output", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "CurveError"
+
+
+@pytest.mark.parametrize(
     "name,text,error",
     [("config", "{not json", "ConfigError"),
      ("config", '{"family": "ellipse", "params": {"r": "x"}}', "ConfigError"),
      ("config", '{"family": "g1", "alpha": [8.5]}', "CurveError"),
      ("config", '{"family": "ellipse", "params": [1]}', "CurveError"),
+     ("config", '{"family": "kite", "params": {"r": 0.5}}', "CurveError"),
+     ("config", '{"family": "ellipse", "params": {"R": 2}}', "CurveError"),
+     ("config", '{"family": "ellipse", "params": {"r": null}}', "CurveError"),
+     ("config", '{"family": "ellipse", "params": {"r": [2]}}', "CurveError"),
+     ("config", '{"family": "ellipse", "params": {"a": true}}', "CurveError"),
+     ("config", '{"family": "ellipse", "params": {"r": NaN}}', "CurveError"),
+     ("config", '{"family": "star2", "params": {"a": Infinity}}', "CurveError"),
+     ("config", '{"family": "star2", "params": {"r": -Infinity}}', "CurveError"),
      ("spectrum", "{not json", "ConfigError"),
      ("spectrum", '{"schema": "steklov/2", "n": 32}', "ConfigError"),
      ("spectrum", "[]", "ConfigError"),
@@ -198,6 +216,8 @@ def test_bad_user_input_is_config_error(tmp_path, capsys, argv):
      ("spectrum", '{"schema": "steklov/2", "n": 32, "k": 2, "curve": []}', "CurveError"),
      ("points", "x,y\n0.1,zero\n", "ConfigError")],
     ids=["config-json", "config-value", "config-alpha-one-number", "config-params-not-object",
+         "config-kite-r", "config-ellipse-R", "config-value-null", "config-value-list",
+         "config-value-bool", "config-value-nan", "config-value-inf", "config-value-minus-inf",
          "spectrum-json", "spectrum-missing-key", "spectrum-not-object", "spectrum-n-not-integer",
          "spectrum-curve-not-object", "points"],
 )

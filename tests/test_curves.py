@@ -49,6 +49,16 @@ def test_g1_parametrization_and_alpha():
     assert c.alpha == 8.0
 
 
+@pytest.mark.parametrize(
+    "family,params,closed_form",
+    [("ellipse", {"r": 3.0, "a": 0.7}, lambda t: 0.7 * (np.cos(t) + 3j * np.sin(t))),
+     ("star2", {"r": 0.8, "a": 2.0}, lambda t: 2.0 * (1 + 0.8 * np.cos(2 * t)) * np.exp(1j * t))],
+)
+def test_coefficient_table_matches_closed_forms(family, params, closed_form):
+    t = nodes(32)
+    assert np.max(np.abs(make_builtin(family, params).eta(t) - closed_form(t))) <= 1e-14
+
+
 def test_kite_exterior_flips_the_odd_part():
     c = make_builtin("kite", kind=DomainKind.UNBOUNDED_EXTERIOR)
     t = nodes(32)
@@ -133,6 +143,16 @@ def test_bad_parameters_rejected():
         make_builtin("ellipse", {"r": 2.0, "a": -1.0})
     with pytest.raises(CurveError):
         make_builtin("kite", {"a": 2.0})  # no scale parameter
+    with pytest.raises(CurveError):
+        make_builtin("kite", {"r": 0.5})  # no r either
+    with pytest.raises(CurveError):
+        make_builtin("ellipse", {"R": 2.0})  # not a name the ellipse takes
+    for value in (None, [2.0], True, np.nan, np.inf, -np.inf):
+        for name in ("r", "a"):
+            with pytest.raises(CurveError):
+                make_builtin("ellipse", {name: value})
+            with pytest.raises(CurveError):
+                scale_to_perimeter("star2", {name: value})
 
 
 def test_alpha_must_be_interior():
@@ -216,17 +236,17 @@ def test_ellipse_perimeter_and_area_scaling(a):
 
 def test_scale_to_perimeter_circle_is_identity():
     c = scale_to_perimeter("ellipse", {"r": 1.0}, 2 * np.pi, 64)
-    assert c.scale == pytest.approx(1.0, abs=1e-13)
+    assert c.params["a"] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_scale_to_perimeter_star_r0_is_circle():
     c = scale_to_perimeter("star2", {"r": 0.0}, 2 * np.pi, 64)
-    assert c.scale == pytest.approx(1.0, abs=1e-13)
+    assert c.params["a"] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_scale_to_perimeter_ellipse_r2():
     c = scale_to_perimeter("ellipse", {"r": 2.0}, 2 * np.pi, 256)
-    assert c.scale == pytest.approx(2 * np.pi / ELLIPSE_R2_PERIMETER, rel=1e-9)
+    assert c.params["a"] == pytest.approx(2 * np.pi / ELLIPSE_R2_PERIMETER, rel=1e-9)
     assert perimeter(c, 256) == pytest.approx(2 * np.pi, abs=1e-10 * 2 * np.pi)
 
 
@@ -263,7 +283,6 @@ def test_grid_rejects_vanishing_derivative():
     object.__setattr__(bad, "eta2", lambda t: np.zeros_like(np.asarray(t), dtype=complex))
     object.__setattr__(bad, "kind", DomainKind.UNBOUNDED_EXTERIOR)
     object.__setattr__(bad, "alpha", None)
-    object.__setattr__(bad, "scale", 1.0)
     object.__setattr__(bad, "params", {})
     with pytest.raises(CurveError):
         build_grid(bad, 16)
@@ -310,6 +329,13 @@ def test_default_alpha_survives_json_rendering():
         assert complex(*rendered) == c.alpha, c.name
     assert make_builtin("kite").alpha == -0.4
     assert make_builtin("g2").alpha == 0.0
+
+
+@pytest.mark.parametrize("family", builtin_families())
+def test_default_alpha_is_the_mean_of_eta(family):
+    c = make_builtin(family)
+    eta = c.eta(nodes(64))
+    assert abs(np.mean(eta) - c.alpha) <= 1e-14 * np.max(np.abs(eta))
 
 
 def test_builtin_family_list():

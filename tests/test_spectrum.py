@@ -10,6 +10,7 @@ import scipy.linalg.blas
 import steklov.densela
 import steklov.operators
 import steklov.spectrum
+from generated_curves import trig_curve
 from steklov import BoundaryCurve, DomainKind, builtin_families, make_builtin, scale_to_perimeter
 from steklov.curves import with_alpha
 from steklov.operators import DiscretizationError, build_dtn, fourier_diff_matrix, wittich_matrix
@@ -25,6 +26,9 @@ from steklov.spectrum import (
 BOUNDED, EXTERIOR = DomainKind.BOUNDED_INTERIOR, DomainKind.UNBOUNDED_EXTERIOR
 
 DISK_FIRST_TEN = np.array([1, 1, 2, 2, 3, 3, 4, 4, 5, 5], dtype=float)
+
+# Seeds of the generated trigonometric curves (tests/generated_curves.py).
+SEEDS = range(12)
 
 
 # ---------------------------------------------------------------------------
@@ -281,22 +285,29 @@ def _similar(curve, a, z0):
         eta1=lambda t: a * curve.eta1(t),
         eta2=lambda t: a * curve.eta2(t),
         kind=curve.kind,
-        alpha=a * curve.alpha + z0,
+        alpha=None if curve.alpha is None else a * curve.alpha + z0,
     )
 
 
-@pytest.mark.parametrize("family,alpha_shift", [("g1", 0.9j), ("g2", 0.08), ("kite", 0.15 + 0.1j)])
-def test_similarity_and_base_point_invariance(family, alpha_shift):
+@pytest.mark.parametrize(
+    "curve,alpha_shift",
+    [pytest.param(make_builtin(family), shift, id=f"{family}-{shift}")
+     for family, shift in (("g1", 0.9j), ("g2", 0.08), ("kite", 0.15 + 0.1j))]
+    + [pytest.param(trig_curve(seed, kind), 0.3j if kind is BOUNDED else None,
+                    id=f"trig{seed}-{kind.value}")
+       for kind in (BOUNDED, EXTERIOR) for seed in SEEDS],
+)
+def test_similarity_and_base_point_invariance(curve, alpha_shift):
     # λ(aG) = λ(G)/|a| under scaling, rotation and translation; λ does not
     # depend on α.  Exact for the discretization, so to rounding at n = 256.
-    curve = make_builtin(family)
     lam = solve_spectrum(curve, 256, 10).lambdas
     for a, z0 in ((2.5, 0.0), (0.3, 0.0), (np.exp(0.7j), 0.0), (1.0, 3.0 - 2.0j),
                   (1.7 * np.exp(-2.1j), -5.0 + 1.0j)):
         got = solve_spectrum(_similar(curve, a, z0), 256, 10).lambdas
-        assert np.max(np.abs(got * abs(a) - lam) / lam) <= 1e-12, (family, a, z0)
-    got = solve_spectrum(with_alpha(curve, curve.alpha + alpha_shift), 256, 10).lambdas
-    assert np.max(np.abs(got - lam) / lam) <= 1e-12, (family, "alpha")
+        assert np.max(np.abs(got * abs(a) - lam) / lam) <= 1e-12, (curve.name, a, z0)
+    if alpha_shift is not None:
+        got = solve_spectrum(with_alpha(curve, curve.alpha + alpha_shift), 256, 10).lambdas
+        assert np.max(np.abs(got - lam) / lam) <= 1e-12, (curve.name, "alpha")
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +361,16 @@ def test_resolved_solves_make_no_warning():
 
 
 @pytest.mark.parametrize(
-    "family,params",
-    [("ellipse", {"r": 1.0}), ("ellipse", {"r": 2.0}), ("star2", {"r": 0.3})],
+    "curve",
+    [pytest.param(scale_to_perimeter(family, params, 2 * np.pi, 256), id=f"{family}-params{j}")
+     for j, (family, params) in enumerate(
+         [("ellipse", {"r": 1.0}), ("ellipse", {"r": 2.0}), ("star2", {"r": 0.3})])]
+    + [pytest.param(trig_curve(seed), id=f"trig{seed}") for seed in SEEDS],
 )
-def test_weinstock_bound_at_fixed_perimeter(family, params):
-    curve = scale_to_perimeter(family, params, 2 * np.pi, 256)
+def test_weinstock_bound_at_fixed_perimeter(curve):
+    # λ₁|Γ| <= 2π on every simply connected bounded domain (Weinstock, 1954)
     spec = solve_spectrum(curve, 256, 2)
-    assert spec.lambdas[0] <= 1.0 + 1e-10
+    assert spec.lambdas[0] * spec.perimeter <= 2 * np.pi * (1.0 + 1e-10)
 
 
 def test_interior_and_exterior_share_asymptotic_slope(kite_bounded, kite_exterior):
@@ -413,11 +427,16 @@ def test_eigenvalue_derivatives_match_central_differences(family, r, kind):
     assert np.max(np.abs(derivs - fd)) <= 1e-7 * np.max(np.abs(fd))
 
 
-@pytest.mark.parametrize("family", builtin_families())
-@pytest.mark.parametrize("kind", [BOUNDED, EXTERIOR])
-def test_shape_derivative_invariants(family, kind):
+@pytest.mark.parametrize(
+    "curve",
+    [pytest.param(make_builtin(family, kind=kind), id=f"{kind}-{family}")
+     for kind in (BOUNDED, EXTERIOR) for family in builtin_families()]
+    + [pytest.param(trig_curve(seed, kind), id=f"{kind}-trig{seed}")
+       for kind in (BOUNDED, EXTERIOR) for seed in SEEDS],
+)
+def test_shape_derivative_invariants(curve):
     # dilation V = η scales λ by 1/(1 + ε); rotation and translations keep it
-    spec = solve_spectrum(make_builtin(family, kind=kind), 512, 10)
+    spec = solve_spectrum(curve, 512, 10)
     eta = spec.grid.eta
     lam = spec.lambdas
     dilation = eigenvalue_derivatives(spec, eta)
