@@ -5,8 +5,12 @@ At fixed boundary length 2π, sweeps the family parameter, records the
 first ten eigenvalues, verifies the perimeter-normalized inequalities
 (interior pair bound and exterior area bound), and locates the first
 two crossings of consecutive bounded-ellipse eigenvalue branches.
-Everything lands as CSV/JSON under results/.  --quick trades the
-benchmark grids for n = 256 (results agree to ~1e-9).
+Everything lands as CSV/JSON under results/, written by the same
+writers as the `steklov` CLI.  --quick trades the benchmark grids for
+n = 256.  Against n = 4096 (first ten eigenvalues), the ellipse then
+agrees to 1e-14 relative up to r = 10, and star2 to 1e-12 up to
+r = 0.75, but at r = 0.9 star2 is off by 2.1e-7 (bounded) and 7.6e-7
+(exterior), and the run warns that those sweeps are under-resolved.
 """
 
 from __future__ import annotations
@@ -17,27 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from steklov import DomainKind
-from steklov.cli import fmt, write_csv, write_json
+from steklov.cli import fmt, write_crossing_json, write_inequalities_csv, write_sweep_csv
 from steklov.studies import check_inequalities, find_crossing, parameter_sweep
-
-
-def sweep_rows(sweep, k):
-    return [[rec.r, rec.a, rec.n, rec.perimeter, rec.area] + list(rec.lambdas[:k])
-            for rec in sweep]
-
-
-def inequality_rows(report):
-    rows = []
-    for rec in report:
-        rows.append([
-            rec.r, rec.lambda_1,
-            "" if rec.lambda_2 is None else rec.lambda_2,
-            "" if rec.slack_sum is None else rec.slack_sum,
-            "" if rec.slack_product is None else rec.slack_product,
-            "" if rec.slack_bound is None else rec.slack_bound,
-            int(rec.satisfied),
-        ])
-    return rows
 
 
 def main() -> int:
@@ -57,28 +42,19 @@ def main() -> int:
         ("star2", DomainKind.BOUNDED_INTERIOR, np.arange(0.0, 0.91, 0.05)),
         ("star2", DomainKind.UNBOUNDED_EXTERIOR, np.arange(0.0, 0.91, 0.05)),
     ]
-    header = ["r", "a", "n", "perimeter", "area"] + [f"lambda_{j + 1}" for j in range(k)]
     for family, kind, r_values in sweeps:
         sweep = parameter_sweep(family, kind, r_values, k, n_policy=n_policy)
         tag = f"{family}_{kind.value}"
-        write_csv(outdir / f"sweep_{tag}.csv", header, sweep_rows(sweep, k))
+        write_sweep_csv(outdir / f"sweep_{tag}.csv", sweep)
         report = check_inequalities(sweep, kind)
-        write_csv(
-            outdir / f"inequalities_{tag}.csv",
-            ["r", "lambda_1", "lambda_2", "slack_sum", "slack_product", "slack_bound", "satisfied"],
-            inequality_rows(report),
-        )
+        write_inequalities_csv(outdir / f"inequalities_{tag}.csv", report)
         print(f"{tag:20s} inequalities satisfied at all {len(report)} points:",
               all(rec.satisfied for rec in report))
 
+    bounded = DomainKind.BOUNDED_INTERIOR
     for kk, bracket in ((2, (1.5, 2.5)), (3, (2.5, 3.5))):
-        res = find_crossing("ellipse", DomainKind.BOUNDED_INTERIOR, kk, bracket,
-                            n_policy=n_policy)
-        write_json(outdir / f"crossing_k{kk}.json", {
-            "k": res.k, "r": res.r, "lambda_low": res.lambda_low,
-            "lambda_high": res.lambda_high, "gap": res.gap, "n": res.n,
-            "solves": res.solves,
-        })
+        res = find_crossing("ellipse", bounded, kk, bracket, n_policy=n_policy)
+        write_crossing_json(outdir / f"crossing_k{kk}.json", res, "ellipse", bounded)
         print(f"crossing k={kk}: r* = {fmt(res.r)}, gap = {fmt(res.gap)}, "
               f"{res.solves} solves")
 

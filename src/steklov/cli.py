@@ -10,11 +10,15 @@ converge   eigenvalue errors against a fine-grid reference -> convergence.csv
 sweep      family sweep at fixed perimeter -> sweep.csv
 crossing   consecutive-eigenvalue crossing search -> crossing.json
 verify     spectral inequality report over a sweep -> inequalities.csv
+gaps       deviations from the asymptotic eigenvalue law -> gaps.csv
 
-All floating point output is formatted with 15 significant digits, so
-identical configurations produce byte-identical artifacts.  Exit
-status: 0 success, 2 configuration error, 3 solver error; failures
-emit a one-line JSON diagnostic on stderr.
+The layouts the experiment scripts write too have one public writer
+each (`write_spectrum_csv`, `write_convergence_csv`, `write_sweep_csv`,
+`write_inequalities_csv`, `write_crossing_json`), which the scripts
+call.  All floating point output is formatted with 15 significant
+digits, so identical configurations produce byte-identical artifacts.
+Exit status: 0 success, 2 configuration error, 3 solver error;
+failures emit a one-line JSON diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -36,7 +40,11 @@ from .extension import ExtensionError, RasterField, eigenmode_field, raster_fiel
 from .operators import DiscretizationError, build_dtn
 from .spectrum import SteklovSpectrum, solve_spectrum
 from .studies import (
+    ConvergenceRecord,
+    CrossingResult,
+    InequalityRecord,
     StudyError,
+    SweepRecord,
     asymptotic_gaps,
     check_inequalities,
     convergence_study,
@@ -186,12 +194,43 @@ def _spectrum_payload(spec: SteklovSpectrum) -> dict:
     return payload
 
 
-def _write_spectrum_csv(path: Path, spec: SteklovSpectrum) -> None:
-    rows = []
-    for j in range(spec.k):
-        scaled = spec.lambdas_scaled[j] if spec.lambdas_scaled is not None else ""
-        rows.append([j + 1, spec.lambdas[j], scaled, spec.residuals[j]])
+def write_spectrum_csv(path: Path, spec: SteklovSpectrum) -> None:
+    """mode, lambda, lambda_scaled (empty for exterior domains), residual per mode."""
+    scaled = [""] * spec.k if spec.lambdas_scaled is None else spec.lambdas_scaled
+    rows = [[j + 1, *row] for j, row in enumerate(zip(spec.lambdas, scaled, spec.residuals))]
     write_csv(path, ["mode", "lambda", "lambda_scaled", "residual"], rows)
+
+
+def write_convergence_csv(path: Path, records: list[ConvergenceRecord]) -> None:
+    """n, rel_err_1..k per grid size of a `convergence_study`."""
+    header = ["n"] + [f"rel_err_{j + 1}" for j in range(len(records[0].rel_errors))]
+    write_csv(path, header, [[rec.n, *rec.rel_errors] for rec in records])
+
+
+def write_sweep_csv(path: Path, sweep: list[SweepRecord]) -> None:
+    """r, a, n, perimeter, area, lambda_1..k per point of a `parameter_sweep`."""
+    k = len(sweep[0].lambdas)
+    header = ["r", "a", "n", "perimeter", "area"] + [f"lambda_{j + 1}" for j in range(k)]
+    rows = [[rec.r, rec.a, rec.n, rec.perimeter, rec.area, *rec.lambdas] for rec in sweep]
+    write_csv(path, header, rows)
+
+
+def write_inequalities_csv(path: Path, report: list[InequalityRecord]) -> None:
+    """The slacks of `check_inequalities` per sweep point, empty where one does not apply."""
+    header = ["r", "lambda_1", "lambda_2", "slack_sum", "slack_product", "slack_bound", "satisfied"]
+    rows = [
+        [rec.r, rec.lambda_1]
+        + ["" if v is None else v
+           for v in (rec.lambda_2, rec.slack_sum, rec.slack_product, rec.slack_bound)]
+        + [int(rec.satisfied)]
+        for rec in report
+    ]
+    write_csv(path, header, rows)
+
+
+def write_crossing_json(path: Path, result: CrossingResult, family: str, kind: DomainKind) -> None:
+    """A `find_crossing` result with the family and domain kind it was searched on."""
+    write_json(path, {"schema": SCHEMA, "family": family, "kind": kind.value, **vars(result)})
 
 
 def write_field_csvs(outdir: Path, modes: list[int], fields) -> None:
@@ -235,7 +274,7 @@ def _cmd_solve(args, outdir: Path) -> int:
     if args.format == "json":
         write_json(outdir / "spectrum.json", _spectrum_payload(spec))
     else:
-        _write_spectrum_csv(outdir / "spectrum.csv", spec)
+        write_spectrum_csv(outdir / "spectrum.csv", spec)
     if args.traces:
         columns = (("traces", "gamma", spec.traces), ("conjugates", "mu", spec.conjugates))
         for name, col, data in columns:
@@ -299,9 +338,7 @@ def _cmd_converge(args, outdir: Path) -> int:
     _check_size(min(n_list), args.k)  # build_grid rejects an odd n, and n_ref > max(n_list)
     curve = _build_curve(args, args.n_ref)
     records = convergence_study(curve, n_list, args.k, args.n_ref)
-    header = ["n"] + [f"rel_err_{j + 1}" for j in range(args.k)]
-    rows = [[rec.n] + list(rec.rel_errors) for rec in records]
-    write_csv(outdir / "convergence.csv", header, rows)
+    write_convergence_csv(outdir / "convergence.csv", records)
     return 0
 
 
@@ -321,11 +358,7 @@ def _cmd_sweep(args, outdir: Path) -> int:
         target_perimeter=args.perimeter,
         n_policy=args.n,
     )
-    header = ["r", "a", "n", "perimeter", "area"] + [f"lambda_{j + 1}" for j in range(args.k)]
-    rows = [
-        [rec.r, rec.a, rec.n, rec.perimeter, rec.area] + list(rec.lambdas) for rec in sweep
-    ]
-    write_csv(outdir / "sweep.csv", header, rows)
+    write_sweep_csv(outdir / "sweep.csv", sweep)
     return 0
 
 
@@ -340,21 +373,7 @@ def _cmd_crossing(args, outdir: Path) -> int:
         r_tol=args.r_tol,
         n_policy=args.n,
     )
-    write_json(
-        outdir / "crossing.json",
-        {
-            "schema": SCHEMA,
-            "family": args.family,
-            "kind": _kind_from_args(args).value,
-            "k": result.k,
-            "r": result.r,
-            "lambda_low": result.lambda_low,
-            "lambda_high": result.lambda_high,
-            "gap": result.gap,
-            "n": result.n,
-            "solves": result.solves,
-        },
-    )
+    write_crossing_json(outdir / "crossing.json", result, args.family, _kind_from_args(args))
     print(f"r_star = {fmt(result.r)}  gap = {fmt(result.gap)}  solves = {result.solves}")
     return 0
 
@@ -368,21 +387,7 @@ def _cmd_verify(args, outdir: Path) -> int:
         args.family, kind, r_values, max(args.k, 2), target_perimeter=args.perimeter, n_policy=args.n
     )
     report = check_inequalities(sweep, kind, tol=args.tol)
-    header = ["r", "lambda_1", "lambda_2", "slack_sum", "slack_product", "slack_bound", "satisfied"]
-    rows = []
-    for rec in report:
-        rows.append(
-            [
-                rec.r,
-                rec.lambda_1,
-                "" if rec.lambda_2 is None else rec.lambda_2,
-                "" if rec.slack_sum is None else rec.slack_sum,
-                "" if rec.slack_product is None else rec.slack_product,
-                "" if rec.slack_bound is None else rec.slack_bound,
-                int(rec.satisfied),
-            ]
-        )
-    write_csv(outdir / "inequalities.csv", header, rows)
+    write_inequalities_csv(outdir / "inequalities.csv", report)
     ok = all(rec.satisfied for rec in report)
     print(f"inequalities satisfied: {ok}")
     return 0 if ok else 3

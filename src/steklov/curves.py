@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -81,7 +81,7 @@ class BoundaryCurve:
     kind : DomainKind
         Which side of the curve is the computational domain.
     alpha : complex or None
-        Base point strictly inside a bounded domain; None for
+        Base point strictly inside a bounded domain; must be None for
         exterior domains (the auxiliary boundary weight is 1 there).
     params : dict
         Family parameters (floats) used to build the curve (for serialization).
@@ -120,6 +120,8 @@ class BoundaryCurve:
         else:
             if signed >= 0:
                 raise CurveError(f"{self.name}: exterior domain requires clockwise orientation")
+            if self.alpha is not None:
+                raise CurveError(f"{self.name}: alpha applies to bounded domains only")
 
     def signed_area(self, n: int = _VALIDATION_N) -> float:
         """Orientation-signed enclosed area by the trapezoidal Green formula."""
@@ -273,6 +275,13 @@ def builtin_families() -> tuple[str, ...]:
     return tuple(_FAMILIES)
 
 
+def _number(value, what: str) -> float:
+    """A config number (or numeric string) as a float; a bool, null or list is a CurveError."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
+        raise CurveError(f"{what} must be a number, got {value!r}")
+    return float(value)  # a string that is no number raises ValueError
+
+
 def _lookup(family: str, params: dict | None) -> tuple[_Family, dict]:
     """The family's table row, and its parameters as floats checked by name and value against it."""
     if family not in _FAMILIES:
@@ -285,9 +294,7 @@ def _lookup(family: str, params: dict | None) -> tuple[_Family, dict]:
     for name, value in (params or {}).items():
         if name not in names:
             raise CurveError(f"{family} takes {' and '.join(names) or 'no parameters'}, not {name!r}")
-        if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
-            raise CurveError(f"{family} parameter {name} must be a number, got {value!r}")
-        checked[name] = float(value)  # a string that is no number raises ValueError
+        checked[name] = _number(value, f"{family} parameter {name}")
     r, a = checked.get("r", row.r_default), checked.get("a", 1.0)
     if not (row.r_min <= r < row.r_max and 0.0 < a < math.inf):  # False for a nan too
         raise CurveError(f"{family} needs {row.r_min:g} <= r < {row.r_max:g}, 0 < a < inf: {checked}")
@@ -313,9 +320,9 @@ def make_builtin(
         the exterior parametrization is the bounded one composed with
         t ↦ -t, i.e. the same curve traversed clockwise.
     alpha : complex, optional
-        Base point override for bounded domains.  Defaults to the exact
-        mean of the parametrization over one period (the series center),
-        which every builtin encloses.
+        Base point override; a CurveError for exterior domains.  Defaults
+        to the exact mean of the parametrization over one period (the
+        series center), which every builtin encloses.
     """
     row, params = _lookup(family, params)
     eta_b, eta1_b, eta2_b, eta_r_b, default_alpha = _g2() if row.c0 is None else _trig(row, params)
@@ -325,10 +332,9 @@ def make_builtin(
         eta1 = lambda t: -eta1_b(-np.asarray(t))
         eta2 = lambda t: eta2_b(-np.asarray(t))
         eta_r = None if eta_r_b is None else (lambda t: eta_r_b(-np.asarray(t)))
-        alpha = None
     else:
         eta, eta1, eta2, eta_r = eta_b, eta1_b, eta2_b, eta_r_b
-        alpha = complex(default_alpha if alpha is None else alpha)
+        alpha = default_alpha if alpha is None else alpha
 
     return BoundaryCurve(
         name=family,
@@ -336,7 +342,7 @@ def make_builtin(
         eta1=eta1,
         eta2=eta2,
         kind=kind,
-        alpha=alpha,
+        alpha=None if alpha is None else complex(alpha),
         params=params,
         eta_r=eta_r,
     )
@@ -380,8 +386,8 @@ def scale_to_perimeter(
     exactly linearly in a, the re-measured perimeter at the same n
     equals the target to rounding error.
     """
-    if target <= 0.0:
-        raise CurveError(f"target perimeter must be positive, got {target}")
+    if not 0.0 < target < math.inf:  # False for a nan too
+        raise CurveError(f"target perimeter must be positive and finite, got {target}")
     row, params = _lookup(family, params)
     if row.c1 is None:
         raise CurveError(f"family {family!r} has no scale parameter to adjust")
@@ -398,9 +404,9 @@ def curve_from_spec(spec: dict, n: int = 256) -> BoundaryCurve:
     """Build a curve from a config mapping.
 
     Recognized keys: ``family`` (required), ``params`` (dict),
-    ``kind`` ("bounded" | "exterior"), ``alpha`` ([re, im]),
-    ``perimeter_normalize`` (target length; resolves the scale via
-    `scale_to_perimeter` at this n).
+    ``kind`` ("bounded" | "exterior"), ``alpha`` ([re, im], bounded
+    only), ``perimeter_normalize`` (positive finite target length, or
+    null for none; resolves the scale via `scale_to_perimeter` at this n).
     """
     if not isinstance(spec, dict):
         raise CurveError(f"curve spec must be a JSON object, got {spec!r}")
@@ -415,13 +421,13 @@ def curve_from_spec(spec: dict, n: int = 256) -> BoundaryCurve:
         raise CurveError(f"unknown domain kind {kind_key!r}; use 'bounded' or 'exterior'") from None
     alpha = spec.get("alpha")
     if alpha is not None:
-        if not (isinstance(alpha, (list, tuple)) and len(alpha) == 2
-                and all(isinstance(v, numbers.Real) for v in alpha)):
+        if not (isinstance(alpha, (list, tuple)) and len(alpha) == 2):
             raise CurveError(f"alpha must be two numbers [re, im], got {alpha!r}")
-        alpha = complex(float(alpha[0]), float(alpha[1]))
+        alpha = complex(*(_number(v, "alpha") for v in alpha))
     target = spec.get("perimeter_normalize")
     if target is not None:
-        return scale_to_perimeter(family, params, float(target), n, kind=kind, alpha=alpha)
+        target = _number(target, "perimeter_normalize")
+        return scale_to_perimeter(family, params, target, n, kind=kind, alpha=alpha)
     return make_builtin(family, params, kind=kind, alpha=alpha)
 
 
@@ -433,10 +439,3 @@ def curve_to_spec(curve: BoundaryCurve) -> dict:
     if curve.alpha is not None:
         spec["alpha"] = [float(curve.alpha.real), float(curve.alpha.imag)]
     return spec
-
-
-def with_alpha(curve: BoundaryCurve, alpha: complex) -> BoundaryCurve:
-    """Copy of a bounded curve with a different base point."""
-    if curve.kind is not DomainKind.BOUNDED_INTERIOR:
-        raise CurveError("alpha applies to bounded domains only")
-    return replace(curve, alpha=complex(alpha))

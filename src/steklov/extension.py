@@ -204,9 +204,7 @@ def estimate_f_infinity(bf: BoundaryFunction, beta: complex | None = None) -> co
     return complex(-np.sum(bf.values * grid.eta1 / (grid.eta - beta)) / (1j * grid.n))
 
 
-def mode_boundary_function(
-    spectrum: SteklovSpectrum, j: int, beta: complex | None = None
-) -> BoundaryFunction:
+def mode_boundary_function(spectrum: SteklovSpectrum, j: int) -> BoundaryFunction:
     """Boundary values γ_j + i μ_j of eigenmode j (1-based, j = 1..k).
 
     For exterior domains f(∞) is estimated from the trace data.
@@ -218,64 +216,53 @@ def mode_boundary_function(
     values = spectrum.traces[:, j - 1] + 1j * spectrum.conjugates[:, j - 1]
     bf = BoundaryFunction(grid=spectrum.grid, curve=spectrum.curve, values=values)
     if spectrum.curve.kind is DomainKind.UNBOUNDED_EXTERIOR:
-        c = estimate_f_infinity(bf, beta=beta)
+        c = estimate_f_infinity(bf)
         bf = BoundaryFunction(
             grid=spectrum.grid, curve=spectrum.curve, values=values, f_infinity=c
         )
     return bf
 
 
-def _mode_functions(spectrum: SteklovSpectrum, j, beta) -> list[BoundaryFunction]:
-    return [mode_boundary_function(spectrum, int(i), beta=beta) for i in np.atleast_1d(j)]
+def _mode_functions(spectrum: SteklovSpectrum, j) -> list[BoundaryFunction]:
+    return [mode_boundary_function(spectrum, int(i)) for i in np.atleast_1d(j)]
 
 
 def eigenmode_field(
-    spectrum: SteklovSpectrum,
-    j: int | Sequence[int],
-    points: np.ndarray,
-    beta: complex | None = None,
+    spectrum: SteklovSpectrum, j: int | Sequence[int], points: np.ndarray
 ) -> FieldSample | list[FieldSample]:
     """Eigenfunction values u_j(z) = Re f_j(z) at explicit points.
 
     For a sequence of mode indices, one sample per mode from one pass
     over the points.
     """
-    samples = _samples(_mode_functions(spectrum, j, beta), points)
+    samples = _samples(_mode_functions(spectrum, j), points)
     return samples if np.ndim(j) else samples[0]
 
 
 def raster_field(
-    spectrum: SteklovSpectrum,
-    j: int | Sequence[int],
-    nx: int,
-    ny: int | None = None,
-    pad: float = 0.05,
-    beta: complex | None = None,
+    spectrum: SteklovSpectrum, j: int | Sequence[int], nx: int
 ) -> RasterField | list[RasterField]:
-    """Eigenfunction on a bounding-box raster, NaN outside the domain.
+    """Eigenfunction on an nx × nx bounding-box raster, NaN outside the domain.
 
-    The box is the boundary's bounding box expanded by `pad` times its
+    The box is the boundary's bounding box expanded by 0.05 times its
     extent (exterior domains get a full extra extent so the field
     around the obstacle is visible).  Points outside the domain or
     within the near-boundary margin are masked.  For a sequence of mode
     indices, one field per mode from one pass over the raster; the
     fields share x, y and the flags.
     """
-    if ny is None:
-        ny = nx
-    bfs = _mode_functions(spectrum, j, beta)
+    bfs = _mode_functions(spectrum, j)
     grid = spectrum.grid
 
     xs_b, ys_b = grid.eta.real, grid.eta.imag
-    if spectrum.curve.kind is DomainKind.UNBOUNDED_EXTERIOR:
-        pad = max(pad, 1.0)
+    pad = 1.0 if spectrum.curve.kind is DomainKind.UNBOUNDED_EXTERIOR else 0.05
     dx = (xs_b.max() - xs_b.min()) * pad
     dy = (ys_b.max() - ys_b.min()) * pad
     x = np.linspace(xs_b.min() - dx, xs_b.max() + dx, nx)
-    y = np.linspace(ys_b.min() - dy, ys_b.max() + dy, ny)
+    y = np.linspace(ys_b.min() - dy, ys_b.max() + dy, nx)
     zz = (x[None, :] + 1j * y[:, None]).ravel()
 
     inside, near, values = _extend(bfs, zz, keep_near=False)
-    flags = (inside & near).reshape(ny, nx)
-    fields = [RasterField(x=x, y=y, u=v.real.reshape(ny, nx), flags=flags) for v in values]
+    flags = (inside & near).reshape(nx, nx)
+    fields = [RasterField(x=x, y=y, u=v.real.reshape(nx, nx), flags=flags) for v in values]
     return fields if np.ndim(j) else fields[0]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import BoundaryCurve, CurveError, DomainKind, scale_to_perimeter
+from .curves import BoundaryCurve, DomainKind, scale_to_perimeter
 from .spectrum import SteklovSpectrum, _normal_velocity, eigenvalue_derivatives, solve_spectrum
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "asymptotic_gaps",
     "check_inequalities",
     "convergence_study",
-    "curve_reflections",
     "find_crossing",
     "gap_decay_summary",
     "paper_n_policy",
@@ -171,9 +170,6 @@ def parameter_sweep(
 # Eigenvalue crossings
 # ---------------------------------------------------------------------------
 
-# A reflection must map the sampled boundary onto itself to this
-# fraction of its radius about the centroid.
-_REFLECTION_TOL = 1e-10
 # Gap, relative to λ_{k+1}, below which the two traces of a crossing
 # may mix; a pair that cannot be told apart there counts as the root.
 _MIXING_GAP = 1e-10
@@ -190,29 +186,6 @@ class CrossingResult:
     gap: float
     n: int
     solves: int
-
-
-def curve_reflections(eta: np.ndarray) -> list[int]:
-    """Reflection symmetries of a sampled closed curve.
-
-    Returns every shift s in [0, n) for which the index map
-    j → (s - j) mod n is a reflection of the samples: η[perm] =
-    u·conj(η) + c with |u| = 1.  Candidates come from the circular
-    self-convolution Σ_j z_j z_{s-j} of z = η - mean(η), which is the
-    least-squares u of each map times ‖z‖²; each candidate is then
-    checked sample by sample.
-    """
-    eta = np.asarray(eta, dtype=complex)
-    n = eta.size
-    z = eta - eta.mean()
-    u = np.fft.ifft(np.fft.fft(z) ** 2) / np.vdot(z, z).real
-    j = np.arange(n)
-    bound = _REFLECTION_TOL * np.max(np.abs(z))
-    return [
-        int(s)
-        for s in np.flatnonzero(np.abs(u) >= 1.0 - 1e-8)
-        if np.max(np.abs(z[(s - j) % n] - u[s] * np.conj(z))) <= bound
-    ]
 
 
 def find_crossing(
@@ -392,13 +365,8 @@ class GapRecord:
     gap_even: float
 
 
-def asymptotic_gaps(
-    spectrum: SteklovSpectrum,
-    boundary_length: float | None = None,
-    k_max: int | None = None,
-) -> list[GapRecord]:
+def asymptotic_gaps(spectrum: SteklovSpectrum, k_max: int | None = None) -> list[GapRecord]:
     """Deviations ε_k = λ_{2k-1} - 2πk/|Γ| and ε'_k = λ_{2k} - 2πk/|Γ|."""
-    length = spectrum.perimeter if boundary_length is None else float(boundary_length)
     available = len(spectrum.lambdas) // 2
     if k_max is None:
         k_max = available
@@ -408,7 +376,7 @@ def asymptotic_gaps(
         raise StudyError("need at least one complete eigenvalue pair")
     out = []
     for k in range(1, k_max + 1):
-        slope = 2.0 * np.pi * k / length
+        slope = 2.0 * np.pi * k / spectrum.perimeter
         out.append(
             GapRecord(
                 k=k,

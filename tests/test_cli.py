@@ -185,11 +185,14 @@ def test_bad_user_input_is_config_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "family,params",
-    [("ellipse", "R=2"), ("kite", "r=0.5"), ("ellipse", "r=nan"), ("star2", "a=inf")],
+    "flags",
+    [["--curve", "ellipse", "--params", "R=2"], ["--curve", "kite", "--params", "r=0.5"],
+     ["--curve", "ellipse", "--params", "r=nan"], ["--curve", "star2", "--params", "a=inf"],
+     ["--curve", "kite", "--exterior", "--alpha", "5,5"]],
+    ids=["ellipse-R=2", "kite-r=0.5", "ellipse-r=nan", "star2-a=inf", "kite-exterior-alpha"],
 )
-def test_bad_curve_parameter_flag_is_curve_error(tmp_path, capsys, family, params):
-    argv = ["solve", "--curve", family, "--params", params, "--n", "32", "--k", "2"]
+def test_bad_curve_parameter_flag_is_curve_error(tmp_path, capsys, flags):
+    argv = ["solve", *flags, "--n", "32", "--k", "2"]
     assert run_cli([*argv, "--output", str(tmp_path)]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "CurveError"
 
@@ -208,6 +211,18 @@ def test_bad_curve_parameter_flag_is_curve_error(tmp_path, capsys, family, param
      ("config", '{"family": "ellipse", "params": {"r": NaN}}', "CurveError"),
      ("config", '{"family": "star2", "params": {"a": Infinity}}', "CurveError"),
      ("config", '{"family": "star2", "params": {"r": -Infinity}}', "CurveError"),
+     ("config", '{"family": "kite", "kind": "exterior", "alpha": [5, 5]}', "CurveError"),
+     ("config", '{"family": "ellipse", "params": {"r": 2}, "perimeter_normalize": [6]}',
+      "CurveError"),
+     ("config", '{"family": "ellipse", "params": {"r": 2}, "perimeter_normalize": true}',
+      "CurveError"),
+     ("config", '{"family": "ellipse", "params": {"r": 2}, "perimeter_normalize": NaN}',
+      "CurveError"),
+     ("config", '{"family": "ellipse", "params": {"r": 2}, "perimeter_normalize": Infinity}',
+      "CurveError"),
+     ("config", '{"family": "ellipse", "params": {"r": 2}, "perimeter_normalize": -Infinity}',
+      "CurveError"),
+     ("config", '{"family": "g1", "alpha": [true, false]}', "CurveError"),
      ("spectrum", "{not json", "ConfigError"),
      ("spectrum", '{"schema": "steklov/2", "n": 32}', "ConfigError"),
      ("spectrum", "[]", "ConfigError"),
@@ -218,6 +233,9 @@ def test_bad_curve_parameter_flag_is_curve_error(tmp_path, capsys, family, param
     ids=["config-json", "config-value", "config-alpha-one-number", "config-params-not-object",
          "config-kite-r", "config-ellipse-R", "config-value-null", "config-value-list",
          "config-value-bool", "config-value-nan", "config-value-inf", "config-value-minus-inf",
+         "config-exterior-alpha", "config-perimeter-list", "config-perimeter-bool",
+         "config-perimeter-nan", "config-perimeter-inf", "config-perimeter-minus-inf",
+         "config-alpha-bool",
          "spectrum-json", "spectrum-missing-key", "spectrum-not-object", "spectrum-n-not-integer",
          "spectrum-curve-not-object", "points"],
 )
@@ -360,18 +378,24 @@ def test_field_csvs_match_write_csv(tmp_path):
             assert (out / f"mode_{j}.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
-def test_render_modes_script_matches_cli(tmp_path):
-    script_dir, cli_dir = tmp_path / "script", tmp_path / "cli"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "render_modes.py"), "--curve", "kite", "--n",
-         "64", "--modes", "1,2", "--raster", "16", "--output", str(script_dir)],
-        env=_src_env(), capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert run_cli(["modes", "--curve", "kite", "--n", "64", "--k", "2", "--modes", "1,2",
-                    "--raster", "16", "--output", str(cli_dir)]) == 0
-    for name in ("mode_1.csv", "mode_2.csv"):
-        assert (script_dir / name).read_bytes() == (cli_dir / name).read_bytes()
+def test_scripts_write_the_cli_artifacts(tmp_path):
+    # both experiment scripts write through the CLI's writers, so their --quick
+    # artifacts match the CLI's byte for byte
+    for script in ("run_benchmarks.py", "run_family_studies.py"):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / script), "--quick", "--output",
+             str(tmp_path / "scripts")],
+            env=_src_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert run_cli(["crossing", "--family", "ellipse", "--k", "2", "--bracket", "1.5", "2.5",
+                    "--n", "256", "--output", str(tmp_path / "crossing")]) == 0
+    assert run_cli(["solve", "--curve", "g1", "--n", "256", "--k", "10", "--format", "csv",
+                    "--output", str(tmp_path / "solve")]) == 0
+    for script_file, cli_file in (("crossing_k2.json", "crossing/crossing.json"),
+                                  ("spectrum_g1.csv", "solve/spectrum.csv")):
+        expected = (tmp_path / cli_file).read_bytes()
+        assert (tmp_path / "scripts" / script_file).read_bytes() == expected, script_file
 
 
 def test_converge_csv(tmp_path):

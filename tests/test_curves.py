@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from steklov import (
     perimeter,
     scale_to_perimeter,
 )
-from steklov.curves import curve_to_spec, nodes, with_alpha
+from steklov.curves import curve_to_spec, nodes
 
 # Circumference of the ellipse with semiaxes 1 and 2, frozen from the
 # adaptive-quadrature oracle below (quad agrees to 2 ulp).
@@ -161,7 +163,12 @@ def test_alpha_must_be_interior():
     with pytest.raises(CurveError):
         make_builtin("disk", alpha=1.0)  # on the curve, at the node t = 0
     with pytest.raises(CurveError):
-        with_alpha(make_builtin("g1"), 8 + 6j)
+        replace(make_builtin("g1"), alpha=8 + 6j)
+    # outside, a base point means nothing: an exterior curve takes none
+    with pytest.raises(CurveError, match="bounded domains only"):
+        make_builtin("kite", kind=DomainKind.UNBOUNDED_EXTERIOR, alpha=-0.4)
+    with pytest.raises(CurveError, match="bounded domains only"):
+        replace(make_builtin("kite", kind=DomainKind.UNBOUNDED_EXTERIOR), alpha=-0.4)
 
 
 @pytest.mark.parametrize("r", [36.0, 50.0, 1000.0, 1e4])

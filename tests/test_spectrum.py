@@ -2,6 +2,7 @@ import contextlib
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,7 @@ import steklov.operators
 import steklov.spectrum
 from generated_curves import trig_curve
 from steklov import BoundaryCurve, DomainKind, builtin_families, make_builtin, scale_to_perimeter
-from steklov.curves import with_alpha
 from steklov.operators import DiscretizationError, build_dtn, fourier_diff_matrix, wittich_matrix
-from steklov.studies import curve_reflections
 from steklov.spectrum import (
     TRACE_TAIL_WARN,
     UnderResolvedWarning,
@@ -111,12 +110,10 @@ def test_start_vector_has_content_in_every_reflection_class(monkeypatch):
 
     monkeypatch.setattr(steklov.densela, "_arpack_eigs", recording)
     n = 256
-    spec = solve_spectrum(make_builtin("ellipse", {"r": 2.0}), n, 4)
+    solve_spectrum(make_builtin("ellipse", {"r": 2.0}), n, 4)
     v = start[0][:n]
-    shifts = curve_reflections(spec.grid.eta)
-    assert len(shifts) == 2
     j = np.arange(n)
-    for s in shifts:
+    for s in (0, n // 2):  # the ellipse's grid reflections j -> s - j, about its two axes
         mirrored = v[(s - j) % n]
         for part in (v + mirrored, v - mirrored):
             assert np.linalg.norm(part / 2.0) >= 0.1 * np.linalg.norm(v)
@@ -273,7 +270,7 @@ def test_arnoldi_path_matches_dense_path():
 
 def test_spectrum_independent_of_alpha(g1_curve):
     spec_a = solve_spectrum(g1_curve, 512, 8)
-    spec_b = solve_spectrum(with_alpha(g1_curve, 8.5), 512, 8)
+    spec_b = solve_spectrum(replace(g1_curve, alpha=8.5 + 0j), 512, 8)
     assert np.max(np.abs(spec_a.lambdas - spec_b.lambdas)) <= 1e-10
 
 
@@ -306,7 +303,7 @@ def test_similarity_and_base_point_invariance(curve, alpha_shift):
         got = solve_spectrum(_similar(curve, a, z0), 256, 10).lambdas
         assert np.max(np.abs(got * abs(a) - lam) / lam) <= 1e-12, (curve.name, a, z0)
     if alpha_shift is not None:
-        got = solve_spectrum(with_alpha(curve, curve.alpha + alpha_shift), 256, 10).lambdas
+        got = solve_spectrum(replace(curve, alpha=curve.alpha + alpha_shift), 256, 10).lambdas
         assert np.max(np.abs(got - lam) / lam) <= 1e-12, (curve.name, "alpha")
 
 

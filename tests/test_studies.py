@@ -8,13 +8,12 @@ import pytest
 
 import steklov
 import steklov.studies as studies
-from steklov import DomainKind, UnderResolvedWarning, build_grid, make_builtin, solve_spectrum
+from steklov import DomainKind, UnderResolvedWarning, solve_spectrum
 from steklov.studies import (
     StudyError,
     asymptotic_gaps,
     check_inequalities,
     convergence_study,
-    curve_reflections,
     find_crossing,
     gap_decay_summary,
     paper_n_policy,
@@ -182,32 +181,6 @@ def test_crossing_brent_across_bracket_shifts(k, shift):
     if k == 2:
         assert result.lambda_low == pytest.approx(ELLIPSE_K2_CROSSING_VALUE, abs=1e-8)
         assert result.lambda_high == pytest.approx(ELLIPSE_K2_CROSSING_VALUE, abs=1e-8)
-
-
-@pytest.mark.parametrize(
-    "family, params, count",
-    [
-        ("ellipse", {"r": 2.0}, 2),
-        ("star2", {"r": 0.3}, 2),
-        ("g2", None, 2),
-        ("g1", None, 1),
-        ("kite", None, 0),
-        ("disk", None, 256),
-    ],
-)
-@pytest.mark.parametrize("kind", list(DomainKind))
-def test_curve_reflections_on_builtins(family, params, count, kind):
-    eta = build_grid(make_builtin(family, params, kind=kind), 256).eta
-    shifts = curve_reflections(eta)
-    assert len(shifts) == count
-    j = np.arange(256)
-    for s in shifts:
-        mirrored = eta[(s - j) % 256]
-        # the reflection z -> u conj(z) + c through two samples fixes it
-        u = (mirrored[1] - mirrored[0]) / np.conj(eta[1] - eta[0])
-        c = mirrored[0] - u * np.conj(eta[0])
-        assert abs(abs(u) - 1.0) <= 1e-12
-        assert np.max(np.abs(mirrored - u * np.conj(eta) - c)) <= 1e-12 * np.max(np.abs(eta))
 
 
 def test_newton_gap_converges_to_minimum_of_avoided_crossing():
