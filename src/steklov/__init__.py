@@ -5,7 +5,10 @@ is discretized on an equidistant boundary grid as ρ D E, where D is
 spectral differentiation, E the (generalized) harmonic-conjugation
 matrix built from a boundary integral equation, and ρ = 1/|η'| the
 arclength weight.  Its low eigenvalues are the Steklov spectrum; the
-solver finds them from an (n+2)-square pencil that never forms E.
+solver finds them from an (n+2)-square pencil that never forms E, Q or
+the pencil matrix itself: the smooth kernels enter through their
+Fourier band, so a solve costs one O(m³) factorization plus
+O(n log n + m²) per Arnoldi step, with the band m independent of n.
 Eigenfunctions extend into the domain by the Cauchy integral.
 """
 

@@ -301,6 +301,23 @@ def _lookup(family: str, params: dict | None) -> tuple[_Family, dict]:
     return row, checked
 
 
+def _oriented(row: _Family, params: dict, kind: DomainKind):
+    """η, η', η'', ∂η/∂r and the default α of a family member, for the domain kind.
+
+    The exterior parametrization is the bounded one composed with t ↦ -t.
+    """
+    eta_b, eta1_b, eta2_b, eta_r_b, default_alpha = _g2() if row.c0 is None else _trig(row, params)
+    if kind is not DomainKind.UNBOUNDED_EXTERIOR:
+        return eta_b, eta1_b, eta2_b, eta_r_b, default_alpha
+    return (
+        lambda t: eta_b(-np.asarray(t)),
+        lambda t: -eta1_b(-np.asarray(t)),
+        lambda t: eta2_b(-np.asarray(t)),
+        None if eta_r_b is None else (lambda t: eta_r_b(-np.asarray(t))),
+        None,
+    )
+
+
 def make_builtin(
     family: str,
     params: dict | None = None,
@@ -325,17 +342,9 @@ def make_builtin(
         series center), which every builtin encloses.
     """
     row, params = _lookup(family, params)
-    eta_b, eta1_b, eta2_b, eta_r_b, default_alpha = _g2() if row.c0 is None else _trig(row, params)
-
-    if kind is DomainKind.UNBOUNDED_EXTERIOR:
-        eta = lambda t: eta_b(-np.asarray(t))
-        eta1 = lambda t: -eta1_b(-np.asarray(t))
-        eta2 = lambda t: eta2_b(-np.asarray(t))
-        eta_r = None if eta_r_b is None else (lambda t: eta_r_b(-np.asarray(t)))
-    else:
-        eta, eta1, eta2, eta_r = eta_b, eta1_b, eta2_b, eta_r_b
-        alpha = default_alpha if alpha is None else alpha
-
+    eta, eta1, eta2, eta_r, default_alpha = _oriented(row, params, kind)
+    if alpha is None:
+        alpha = default_alpha
     return BoundaryCurve(
         name=family,
         eta=eta,
@@ -381,18 +390,24 @@ def scale_to_perimeter(
 ) -> BoundaryCurve:
     """Scale a parametric family member so its perimeter equals `target`.
 
-    The scale is a = target / I where I is the perimeter of the a = 1
-    member measured by `perimeter` at the given n.  Since |η'| scales
-    exactly linearly in a, the re-measured perimeter at the same n
-    equals the target to rounding error.
+    The scale is a = target / I where I is the trapezoidal perimeter
+    (2π/n) Σ |η'(t_j)| of the a = 1 member at the given n, evaluated
+    from the family's table; only the scaled member is built and
+    checked.  Since |η'| scales exactly linearly in a, the re-measured
+    perimeter at the same n equals the target to rounding error.
     """
     if not 0.0 < target < math.inf:  # False for a nan too
         raise CurveError(f"target perimeter must be positive and finite, got {target}")
     row, params = _lookup(family, params)
     if row.c1 is None:
         raise CurveError(f"family {family!r} has no scale parameter to adjust")
-    reference = make_builtin(family, {**params, "a": 1.0}, kind=kind, alpha=alpha)
-    params["a"] = target / perimeter(reference, n)
+    if n < 16:
+        raise CurveError(f"perimeter requires n >= 16, got {n}")
+    if n % 2 != 0:
+        raise CurveError(f"grid size must be an even integer >= 4, got {n}")
+    eta1 = _oriented(row, {**params, "a": 1.0}, kind)[1]
+    speed = np.abs(np.asarray(eta1(nodes(n)), dtype=complex))
+    params["a"] = target / float(2.0 * np.pi / n * np.sum(speed))
     return make_builtin(family, params, kind=kind, alpha=alpha)
 
 

@@ -3,17 +3,21 @@
 `smallest_magnitude_eigs` returns the k eigenpairs of smallest modulus
 of a real square matrix, or of a real pencil A x = λ M x, whose
 relevant spectrum is real (as for the Steklov pencil solved here).  It
-runs implicitly restarted Arnoldi iteration on A^{-1} M (ARPACK),
-driven by a single LU factorization of A, at every matrix size; ARPACK's
-machine-precision tolerance and default restart budget are used.  The
-fixed start Σ_{m=1}^{k+2} (cos + sin)(2π m j / n) keeps runs bitwise
+runs implicitly restarted Arnoldi iteration on A^{-1} M (ARPACK) at
+every size, driven either by one LU factorization of a given matrix A
+or by a caller's operator x -> A^{-1} M x (the Steklov solve applies its
+pencil through the kernels' Fourier band); ARPACK's machine-precision
+tolerance and default restart budget are used.  The fixed start
+Σ_{m=1}^{k+2} (cos + sin)(2π m j / n), on the n grid entries of the
+vectors and zero on any border entries after them, keeps runs bitwise
 reproducible; unlike a constant, it has content in every reflection class
-of a grid, and an M that annihilates constants (the disk's) cannot zero it.
+of the grid, and an M that annihilates constants (the disk's) cannot zero
+it.
 
-Products with a factored matrix and the solves go through scipy's BLAS and
-LAPACK, never numpy's `@`: numpy and scipy may link separate OpenBLAS
-builds, whose two thread pools an Arnoldi loop would make compete for the
-cores on every step.
+Solves with the factors go through scipy's LAPACK, and callers' products
+through scipy's BLAS, never numpy's `@`: numpy and scipy may link
+separate OpenBLAS builds, whose two thread pools an Arnoldi loop would
+make compete for the cores on every step.
 """
 
 from __future__ import annotations
@@ -71,17 +75,9 @@ class LUFactors:
             raise ValueError(f"dgetrs: illegal value in argument {-info}")
         return x
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x = P L U x for a matrix of columns x, from the packed factors alone."""
-        y = scipy.linalg.blas.dtrmm(1.0, self.lu, x)  # U x
-        y = scipy.linalg.blas.dtrmm(1.0, self.lu, y, lower=1, diag=1, overwrite_b=1)  # L U x
-        return scipy.linalg.lapack.dlaswp(y, self.piv, inc=-1, overwrite_a=1)  # P, last swap first
 
-
-def lu_factor(a: np.ndarray, overwrite_a: bool = False) -> LUFactors:
+def lu_factor(a: np.ndarray) -> LUFactors:
     """LU-factorize a square real matrix with partial pivoting.
-
-    With `overwrite_a`, a column-major float `a` is overwritten by the factors.
 
     Raises
     ------
@@ -96,7 +92,7 @@ def lu_factor(a: np.ndarray, overwrite_a: bool = False) -> LUFactors:
         raise ValueError("matrix entries must be finite")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=overwrite_a, check_finite=False)
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     if np.any(np.diag(lu) == 0.0):
         raise SingularMatrixError("matrix is singular: zero pivot in LU factorization")
     return LUFactors(lu=lu, piv=piv)
@@ -159,43 +155,50 @@ class EigenPairSet:
     vectors: np.ndarray
 
 
-def smallest_magnitude_eigs(a: np.ndarray | LUFactors, k: int, m=None) -> EigenPairSet:
+def smallest_magnitude_eigs(
+    a: np.ndarray | LinearOperator, k: int, border: int = 0
+) -> EigenPairSet:
     """Compute the k smallest-modulus eigenpairs of A x = λ M x.
 
     Shift-invert Arnoldi: ARPACK finds the k largest-modulus
-    eigenvalues 1/λ of A^{-1} M, applied through one LU factorization
-    of A.  M = I gives the standard problem.
+    eigenvalues 1/λ of A^{-1} M.
 
     Parameters
     ----------
-    a : ndarray or LUFactors
-        Real square matrix with (numerically) real target eigenvalues,
-        or its LU factors.
+    a : ndarray or LinearOperator
+        A real square matrix A with (numerically) real target
+        eigenvalues, for the standard problem (M = I), factored here by
+        `lu_factor`; or an operator applying A^{-1} M.
     k : int
-        Number of eigenpairs, 1 <= k <= n - 2.
-    m : callable or None
-        x -> M x for the right-hand matrix; None is the identity.
+        Number of eigenpairs, 1 <= k <= N - 2 for vectors of size N.
+    border : int
+        Trailing entries of the vectors that are not grid values (the
+        pencil's two border unknowns); the start vector is zero there.
 
     Raises
     ------
     SingularMatrixError
-        A is exactly singular (0 is then an eigenvalue; the inverse
-        iteration has no meaning).
+        A given matrix is exactly singular (0 is then an eigenvalue; the
+        inverse iteration has no meaning).
     EigenSolveError
         ARPACK failed, or did not converge within the restart budget.
     ComplexEigenvalueError
         A requested eigenvalue is complex beyond rounding level.
     """
-    factors = a if isinstance(a, LUFactors) else lu_factor(a)
-    n = factors.n
-    if not 1 <= k <= n - 2:
-        raise ValueError(f"k must satisfy 1 <= k <= n - 2, got k={k}, n={n}")
+    if isinstance(a, LinearOperator):
+        op = a
+    else:
+        factors = lu_factor(a)
+        op = LinearOperator(factors.lu.shape, matvec=factors.solve, dtype=float)
+    size = op.shape[0]
+    if not 1 <= k <= size - 2:
+        raise ValueError(f"k must satisfy 1 <= k <= n - 2, got k={k}, n={size}")
 
-    matvec = factors.solve if m is None else lambda x: factors.solve(m(x))
-    op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    ncv = min(n, max(2 * k + 4, 20))
+    ncv = min(size, max(2 * k + 4, 20))
+    n = size - border
     phase = np.outer(np.arange(n), np.arange(1, k + 3)) * (2.0 * np.pi / n)
-    v0 = np.sum(np.cos(phase) + np.sin(phase), axis=1)
+    v0 = np.zeros(size)
+    v0[:n] = np.sum(np.cos(phase) + np.sin(phase), axis=1)
     try:
         inv_values, vectors = _arpack_eigs(op, k=k, which="LM", v0=v0, ncv=ncv)
     except ArpackError as exc:  # ArpackNoConvergence is one

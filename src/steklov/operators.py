@@ -11,7 +11,8 @@ For an even grid size n the module assembles
   tested against;
 * ``K`` — the discrete conjugation (Hilbert transform) matrix,
   K_ij = (2/n) cot((i-j) π / n) for odd i-j, zero otherwise, a
-  circulant built from one column;
+  circulant built from one column; in the DFT basis it is -i on the
+  bins 0 < p < n/2 and zero on the constant and the Nyquist bin;
 * ``B``, ``C`` — Nyström matrices for the boundary integral equation
   (I - N) μ = -M γ: B discretizes the continuous Neumann-type kernel
   N(s,t) by the trapezoidal rule, and C = -K + C̃ splits the singular
@@ -22,7 +23,9 @@ For an even grid size n the module assembles
 * ``E = -(I - B)^{-1} C`` — the conjugation matrix mapping the
   boundary values of Re f to those of Im f, for f analytic in the
   domain with Im f(α) = 0 (bounded) or Im f(∞) = 0 (exterior);
-* the (n+2)-square Steklov pencil matrix (`build_pencil`), factored in place.
+* the Fourier band of B and C̃ (`kernel_band`) and the Steklov pencil
+  matrix factored on it (`build_band_pencil`); unless the grid is
+  coarser than the kernels' band, the solve forms no n-square array.
 
 With A(t) = η(t) - α for bounded domains and A(t) = 1 for exterior
 ones, the kernels are
@@ -40,6 +43,19 @@ trapezoidal error of the analytic kernel, i.e. exponentially in n),
 and E then shares the two-dimensional numerical null space of K: the
 constant and the alternating Nyquist vector.  All other eigenvalues
 of K and E sit at ±i.
+
+The band.  N and M̃ are analytic in both variables, so the DFT
+coefficients F X F⁻¹ of B and C̃ approximate 2π times the kernels'
+Fourier coefficients whatever the grid size, and they decay
+exponentially in both indices.  `kernel_band` samples the kernels with
+`nystrom_matrices` on m' = 64 nodes, then on larger multiples of 64
+(capped at n), until every coefficient in the sample's outer quarter
+(max(|p|, |q|) >= 3m'/8) is at the rounding floor, _FLOOR_PER_NODE·m',
+in its real and imaginary part.  B and C̃ are kept as real matrices
+on the bins the sample carries; the band is every frequency
+|p|, |q| <= L that carries a part above that floor, m = 2L + 1 real
+Fourier coordinates.  It does not grow with n, and a grid below it is
+sampled whole (m' = n).
 """
 
 from __future__ import annotations
@@ -48,19 +64,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import blas, circulant
+from scipy.linalg import circulant
 
-from .curves import BoundaryCurve, DomainKind, Grid, build_grid
+from .curves import BoundaryCurve, DomainKind, Grid, build_grid, nodes
 from .densela import LUFactors, SingularMatrixError, lu_factor
 
 __all__ = [
+    "BandPencil",
     "DiscretizationError",
     "DtnDiscretization",
+    "KernelBand",
     "apply_diff_fast",
+    "build_band_pencil",
     "build_dtn",
-    "build_pencil",
     "diff_multiplier",
     "fourier_diff_matrix",
+    "kernel_band",
     "kernel_values",
     "nystrom_matrices",
     "wittich_matrix",
@@ -72,6 +91,20 @@ _DIFF_IMAG_TOL = 1e-12
 
 # Columns per Nyström assembly panel (measured well at n = 256-2048).
 _PANEL = 64
+
+# Smallest kernel sample; later samples are multiples of it, up to the grid size.
+_SAMPLE_START = 64
+# Rounding floor of a sampled kernel coefficient, per sample node.  The
+# coefficients of B and C̃ level off at 2e-15 (m' = 256), 2e-14 (512) and
+# 1e-14 (1024) on every builtin, on translated and generated curves and
+# on the disk, where C̃ is zero: the floor is that of the cotangent
+# cancellation, not of the curve.  0.5·eps·m' sits above all of them.
+_FLOOR_PER_NODE = 0.5 * np.finfo(float).eps
+# Head room on the shell at which a sample's decay puts the floor.  The
+# 64-node prediction falls short by up to 20% (the kite), which rounding
+# up to a multiple of 64 mostly absorbs; with no head room, g1 and g2 at
+# n = 2048 missed the floor on their second sample and took a third.
+_SHELL_MARGIN = 1.1
 
 
 class DiscretizationError(RuntimeError):
@@ -160,13 +193,12 @@ def wittich_matrix(n: int) -> np.ndarray:
 # Kernels and Nyström assembly
 # ---------------------------------------------------------------------------
 
-def _log_derivative_term(curve: BoundaryCurve, t: np.ndarray) -> np.ndarray:
-    """η''/(2η') - A'/A at the nodes; A' = η' (bounded) or 0 (exterior)."""
-    e1 = curve.eta1(t)
-    e2 = curve.eta2(t)
-    q = 0.5 * e2 / e1
+def _log_derivative_term(curve: BoundaryCurve, t: np.ndarray, eta: np.ndarray,
+                         eta1: np.ndarray) -> np.ndarray:
+    """η''/(2η') - A'/A at t, given η and η' there; A' = η' (bounded) or 0 (exterior)."""
+    q = 0.5 * curve.eta2(t) / eta1
     if curve.kind is DomainKind.BOUNDED_INTERIOR:
-        q = q - e1 / (curve.eta(t) - curve.alpha)
+        q = q - eta1 / (eta - curve.alpha)
     return q
 
 
@@ -196,7 +228,7 @@ def kernel_values(curve: BoundaryCurve, s, t):
     n_off = m_in.imag
     mt_off = m_in.real + (1.0 / (2.0 * np.pi)) / np.tan(np.where(on_diag, 1.0, d) / 2.0)
 
-    q = _log_derivative_term(curve, s) / np.pi
+    q = _log_derivative_term(curve, s, eta_s, curve.eta1(s)) / np.pi
     n_val = np.where(on_diag, q.imag, n_off)
     mt_val = np.where(on_diag, q.real, mt_off)
     if n_val.ndim == 0:
@@ -204,8 +236,7 @@ def kernel_values(curve: BoundaryCurve, s, t):
     return n_val, mt_val
 
 
-def nystrom_matrices(grid: Grid, curve: BoundaryCurve,
-                     out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def nystrom_matrices(grid: Grid, curve: BoundaryCurve) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoidal Nyström matrices (B, C) on the grid.
 
     B_ij = (2π/n) N(t_i, t_j); C = -K + C̃ with C̃_ij = (2π/n) M̃(t_i, t_j).
@@ -220,9 +251,7 @@ def nystrom_matrices(grid: Grid, curve: BoundaryCurve,
     The kernel fills _PANEL columns at a time of one complex buffer,
     which go straight into B and C; the circulant is a strided view of
     the doubled column.  Both matrices are column-major, the layout
-    LAPACK factorizes and solves with.  C is written into `out` when it
-    is given (an n×n view, such as the leading block of the pencil
-    matrix) and returned as that view.
+    LAPACK factorizes and solves with.
     """
     n = grid.n
     h = 2.0 * np.pi / n
@@ -240,7 +269,7 @@ def nystrom_matrices(grid: Grid, curve: BoundaryCurve,
     windows = sliding_window_view(np.concatenate((shift, shift)), n)
 
     b = np.empty((n, n), order="F")
-    c = np.empty((n, n), order="F") if out is None else out
+    c = np.empty((n, n), order="F")
     buf = np.empty((min(_PANEL, n), n), dtype=complex)
     for j0 in range(0, n, _PANEL):
         j1 = min(j0 + _PANEL, n)
@@ -254,7 +283,7 @@ def nystrom_matrices(grid: Grid, curve: BoundaryCurve,
         b.T[j0:j1] = kern.imag
         np.add(windows[n - j0 : n - j1 : -1], kern.real, out=c.T[j0:j1])
 
-    diag = (h / np.pi) * _log_derivative_term(curve, grid.t)
+    diag = (h / np.pi) * _log_derivative_term(curve, grid.t, eta, grid.eta1)
     np.fill_diagonal(b, diag.imag)
     np.fill_diagonal(c, diag.real)
     return b, c
@@ -302,7 +331,7 @@ def build_dtn(curve: BoundaryCurve, n: int) -> DtnDiscretization:
     i_minus_b = -b  # keeps B's column-major layout
     i_minus_b[np.diag_indices(n)] += 1.0
     try:
-        factors = lu_factor(i_minus_b, overwrite_a=True)
+        factors = lu_factor(i_minus_b)
     except SingularMatrixError as exc:
         raise DiscretizationError(
             f"(I - B) is singular at n={n}; increase the grid size"
@@ -316,21 +345,235 @@ def build_dtn(curve: BoundaryCurve, n: int) -> DtnDiscretization:
     )
 
 
-def build_pencil(curve: BoundaryCurve, n: int) -> tuple[Grid, np.ndarray, LUFactors]:
-    """Grid, B and the LU of the (n+2)-square Steklov pencil matrix A for (curve, n).
+# ---------------------------------------------------------------------------
+# The kernels' Fourier band and the pencil factored on it
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class KernelBand:
+    """Fourier coefficients of B and C̃ = C + K for a grid, from an m'-node sample.
+
+    ``b_sample`` and ``c_sample`` are the real matrices of v -> X v on
+    numpy's interleaved (re, im) view of rfft(v), over every frequency
+    the sample carries: |p|, |q| < m'/2, and the Nyquist bin too when the
+    sample is the grid (m' = n).  The band is their leading block, the
+    frequencies |p|, |q| <= ``top`` = L; ``size`` is m = 2L + 1, at most
+    the grid size.  ``tail`` is the largest real or imaginary part of a
+    coefficient in the sample's outer quarter (K has unit norm, so it is
+    relative): at the rounding floor once the sample resolves the
+    kernels, larger when m' reached n first.
+    """
+
+    sample_n: int
+    top: int
+    tail: float
+    b_sample: np.ndarray = field(repr=False)
+    c_sample: np.ndarray = field(repr=False)
+
+    @property
+    def size(self) -> int:
+        return min(2 * self.top + 1, self.sample_n)
+
+    @property
+    def b_band(self) -> np.ndarray:
+        return self.b_sample[: 2 * self.top + 2, : 2 * self.top + 2]
+
+    @property
+    def c_band(self) -> np.ndarray:
+        return self.c_sample[: 2 * self.top + 2, : 2 * self.top + 2]
+
+
+def _sample_grid(curve: BoundaryCurve, m: int) -> Grid:
+    """The curve on m quadrature nodes, unvalidated: only the n-point grid must enclose α."""
+    t = nodes(m)
+    eta = np.asarray(curve.eta(t), dtype=complex)
+    eta1 = np.asarray(curve.eta1(t), dtype=complex)
+    speed = np.abs(eta1)
+    return Grid(n=m, t=t, eta=eta, eta1=eta1, speed=speed, rho=1.0 / speed)
+
+
+def _kernel_coefficients(grid: Grid, curve: BoundaryCurve) -> list[np.ndarray]:
+    """F X F⁻¹ for X = B and X = C̃ on the grid: rfft down the columns, ifft along the rows.
+
+    Rows p = 0 .. m/2, columns q in FFT order: (X v)^_p = Σ_q X_pq v^_q
+    for the DFT coefficients v^ of a grid vector.  The rfft writes into a
+    row-major array that the ifft then transforms in place (numpy.fft's
+    `out`, NumPy >= 2.0): with contiguous rows and no second array the
+    two transforms take about 45% less time at m = 192-512.  Each matrix
+    is dropped once it is transformed.
+    """
+    m = grid.n
+    coeffs = list(nystrom_matrices(grid, curve))
+    for i, x in enumerate(coeffs):
+        t = np.empty((m // 2 + 1, m), dtype=complex)
+        np.fft.rfft(x, axis=0, out=t)
+        np.fft.ifft(t, axis=1, out=t)
+        coeffs[i] = t
+    p = np.arange(1, m // 2)
+    coeffs[1][p, p] -= 1j  # C̃ = C + K, and K is -i on the bins 0 < p < m/2
+    return coeffs
+
+
+def _real_band(t: np.ndarray, top: int) -> np.ndarray:
+    """Real matrix of v^[:top+1] -> (X v)^[:top+1] in the interleaved (re, im) layout.
+
+    For real v, v^_{-q} = conj(v^_q), so Re v^_q enters through
+    X_pq + X_p,-q and Im v^_q through i (X_pq - X_p,-q); the constant
+    and the Nyquist bin stand alone.  The result is (2top+2)-square and
+    column-major; each column, read as complex, is X_pq ± X_p,-q.
+    """
+    m = t.shape[1]
+    pos = t[: top + 1, : top + 1]
+    q = min(top, m // 2 - 1)  # X_p,-q for q = 1 .. q, the frequencies with a mirror
+    neg = t[: top + 1, m - 1 : m - q - 1 : -1]
+    out = np.empty((2 * top + 2, 2 * top + 2), order="F")
+    outc = out.T.view(complex)  # outc[j, p] = out[2p, j] + i out[2p + 1, j]
+    outc[0::2] = pos.T
+    outc[1::2] = pos.T
+    outc[2 : 2 * q + 2 : 2] += neg.T
+    outc[3 : 2 * q + 3 : 2] -= neg.T
+    outc[1::2] *= 1j
+    outc[1] = 0.0  # Im of the constant, and of the Nyquist bin below, is zero for a real v
+    if 2 * top == m:
+        outc[-1] = 0.0
+    return out
+
+
+def _shell_max(mag: np.ndarray, lo: int, hi: int) -> float:
+    """Largest entry with lo <= max(p, |q|) < hi.
+
+    `mag` has rows p >= 0 and, for each frequency q in FFT order, the
+    two columns 2q and 2q + 1 (real and imaginary part).
+    """
+    m = mag.shape[1] // 2
+    neg = 2 * (m - hi + 1)  # first column of the frequencies -hi < q < 0
+    return float(max(mag[lo:hi, : 2 * hi].max(), mag[lo:hi, neg:].max(initial=0.0),
+                     mag[:lo, 2 * lo : 2 * hi].max(initial=0.0),
+                     mag[:lo, neg : 2 * (m - lo + 1)].max(initial=0.0)))
+
+
+def _next_sample(mag: np.ndarray, tail: float, floor: float, n: int) -> int:
+    """The next sample size after one whose outer quarter misses the floor.
+
+    The decay of the coefficients from the shells [m/8, m/4) to
+    [m/4, 3m/8) says at which shell they reach the floor; the next size
+    is the smallest multiple of 64 that puts that shell, with
+    _SHELL_MARGIN of head room, inside its inner three quarters, and at
+    least twice the last.  A size between powers of two saves work where
+    the band falls just short of one: the criterion-7 ellipses near
+    r = 1.98 resolve on 192 nodes instead of 256.
+    """
+    m = mag.shape[1] // 2
+    outer = 3 * m // 8
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = _shell_max(mag, m // 8, m // 4) / _shell_max(mag, m // 4, outer)
+        rate = np.log(ratio) / (outer - m // 4)
+    shell = outer + np.log(tail / floor) / rate if rate > 0.0 else np.inf
+    step = _SAMPLE_START
+    size = max(2 * m, step * int(np.ceil(_SHELL_MARGIN * 8.0 * min(shell, n) / (3.0 * step))))
+    return min(size, n)
+
+
+def kernel_band(curve: BoundaryCurve, grid: Grid) -> KernelBand:
+    """The Fourier band of B and C̃ for `grid`, from the smallest sample that resolves it.
+
+    Samples on 64 nodes, then on multiples of 64 that the last sample's
+    decay picks (`_next_sample`), capped at grid.n, until the sample's
+    outer quarter is at the rounding floor; m' = n is the grid itself.
+    L is the highest frequency of a coefficient part above the floor, so
+    the band drops only rounding noise.
+    """
+    n = grid.n
+    m = min(_SAMPLE_START, n)
+    while True:
+        coeffs = _kernel_coefficients(grid if m == n else _sample_grid(curve, m), curve)
+        mag = np.abs(coeffs[0].view(float))  # real and imaginary parts side by side
+        np.maximum(mag, np.abs(coeffs[1].view(float)), out=mag)
+        floor = _FLOOR_PER_NODE * m
+        tail = _shell_max(mag, 3 * m // 8, m // 2 + 1)
+        if tail <= floor or m == n:
+            break
+        m = _next_sample(mag, tail, floor, n)
+    above = mag > floor
+    del mag
+    cols = above.any(axis=0)
+    freq = np.abs(np.fft.fftfreq(m, 1.0 / m)).astype(int)
+    top = int(max(np.flatnonzero(above.any(axis=1)).max(initial=0),
+                  freq[cols[0::2] | cols[1::2]].max(initial=0)))
+    reach = m // 2 if m == n else m // 2 - 1  # the sample's Nyquist bin aliases two frequencies
+    b_sample = _real_band(coeffs.pop(0), reach)  # pop: each array is dropped once read
+    c_sample = _real_band(coeffs.pop(0), reach)
+    return KernelBand(sample_n=m, top=min(top, reach), tail=tail,
+                      b_sample=b_sample, c_sample=c_sample)
+
+
+@dataclass(frozen=True)
+class BandPencil:
+    """The (n+2)-square Steklov pencil matrix A of one grid, factored on the kernels' band.
 
     A = [[C, (I - B) N], [Nᵀ W, 0]] with N = [1, alt], alt_j = (-1)^j,
-    and W = diag|η'|; C is written straight into A's column-major
-    buffer, which the LU then overwrites (`LUFactors.matvec` applies A).
+    and W = diag|η'|, acting on x = (γ, a, b).  In the coordinates
+    ξ = rfft(γ).view(float), with n a and n b in the two slots that are
+    zero for a real γ (Im of the constant and of the Nyquist bin):
+
+    * A = A₀ + U V, where A₀ = [[-K, N], [Nᵀ, 0]] is -K̂ = i on each bin
+      0 < p < n/2 and ties the two border unknowns to the constant and
+      Nyquist bins, and U V (rank m + 4) holds the band of C̃, the
+      columns -B N and the rows Nᵀ(W - I);
+    * outside the band only A₀'s diagonal acts, so A is block triangular:
+      the band block A_LL (the bins p <= L, the Nyquist bin and the
+      border, m + 3 unknowns) and the diagonal -K̂ on the rest, which
+      enters the band block only through the two rows Nᵀ W.
+
+    ``factors`` is the LU of A_LL.  The Woodbury capacitance matrix
+    I + V A₀⁻¹ U of the same split is A_LL times the inverse of A₀'s own
+    band block, so both are singular together.  ``rows`` holds Nᵀ W in
+    the ξ coordinates, shape (2, n + 2).
+    """
+
+    grid: Grid
+    band: KernelBand
+    rows: np.ndarray = field(repr=False)
+    factors: LUFactors = field(repr=False)
+
+
+def build_band_pencil(curve: BoundaryCurve, n: int) -> BandPencil:
+    """Grid, kernel band and the factored band block of the Steklov pencil for (curve, n).
+
+    Raises
+    ------
+    DiscretizationError
+        If the band block (and so the pencil) is singular.
     """
     grid = build_grid(curve, n)
-    a = np.zeros((n + 2, n + 2), order="F")
-    b, _ = nystrom_matrices(grid, curve, out=a[:n, :n])
-    null = np.column_stack((np.ones(n), (-1.0) ** np.arange(n)))
-    a[:n, n:] = null - blas.dgemm(1.0, b, null)
-    a[n:, :n] = (null * grid.speed[:, None]).T
+    band = kernel_band(curve, grid)
+    # Σ_j w_j γ_j = (1/n) Σ_q conj(W_q) Γ_q over all bins, so in the
+    # interleaved layout the rfft bins 0 < p < n/2 count twice.
+    weight = np.full(n + 2, 2.0 / n)
+    weight[[0, 1, n, n + 1]] = 1.0 / n
+    rows = np.stack([np.fft.rfft(grid.speed).view(float),
+                     np.fft.rfft(grid.speed * (-1.0) ** np.arange(n)).view(float)]) * weight
+
+    nb = band.b_band.shape[0]
+    inner = min(nb, n)
+    slots = np.r_[0:inner, n, n + 1]  # the band block's unknowns among the n + 2 slots of ξ
+    s = inner + 2
+    a = np.zeros((s, s), order="F")
+    k = min(nb, s)
+    a[:k, :k] = band.c_band[:k, :k]
+    p = np.arange(1, min(nb // 2, n // 2))  # -K̂ = i on the band's bins 0 < p < n/2
+    a[2 * p, 2 * p + 1] -= 1.0
+    a[2 * p + 1, 2 * p] += 1.0
+    a[:, 1] = 0.0
+    a[:k, 1] = -band.b_band[:k, 0]  # n a: the constant minus B times it
+    a[0, 1] += 1.0
+    a[:, s - 1] = 0.0
+    if nb > n:
+        a[:k, s - 1] = -band.b_band[:k, n]  # n b: the Nyquist bin minus B times it
+    a[s - 2, s - 1] += 1.0
+    a[[1, s - 1]] = rows[:, slots]
     try:
-        factors = lu_factor(a, overwrite_a=True)
+        factors = lu_factor(a)
     except SingularMatrixError as exc:
         raise DiscretizationError(f"the Steklov pencil is singular at n={n}; increase n") from exc
-    return grid, b, factors
+    return BandPencil(grid=grid, band=band, rows=rows, factors=factors)

@@ -1,4 +1,4 @@
-"""Steklov spectra from an (n+2)-square pencil; neither E nor Q is formed.
+"""Steklov spectra from the pencil, solved through the kernels' Fourier band.
 
 The boundary condition ∂u/∂n = λ u for a harmonic u = Re f turns, in
 the boundary parametrization, into μ' = λ W γ with γ = Re f(η(t)),
@@ -6,17 +6,28 @@ the boundary parametrization, into μ' = λ W γ with γ = Re f(η(t)),
 ties the traces by (I - B) μ = -C γ.  With D⁺ the FFT pseudo-inverse of
 D and N = [1, alt] (alt_j = (-1)^j) its null space, the first equation
 gives μ = λ D⁺ W γ + N (a, b) once Nᵀ W γ = 0.  In x = (γ, a, b) that
-is the pencil (`operators.build_pencil`)
+is the pencil
 
     A x = λ M x,   A = [[C, (I - B) N], [Nᵀ W, 0]],   M = [[-(I - B) D⁺ W, 0], [0, 0]],
 
 whose eigenvalues are the nonzero ones of Q = P D E, P = diag(1/|η'|),
 without Q's double zero (the constant and the spurious Nyquist mode).
-Shift-invert Arnoldi at 0 on A^{-1} M needs one in-place LU of A; μ comes
-out of each eigenvector, and the residual ||(A x - λ M x)_1..n||_2 =
-||(I - B) μ_j + C γ_j||_2 applies A from its factors.  B is applied by
-scipy's `dgemv`/`dgemm`, the BLAS that owns A's LU, so an Arnoldi step
-stays on one OpenBLAS thread pool (see `steklov.densela`).
+Shift-invert Arnoldi at 0 runs on A^{-1} M.  Neither A, E nor Q is
+formed: B and C̃ = C + K enter through their Fourier band
+(`operators.kernel_band`), and A through the LU of its band block
+(`operators.build_band_pencil`).  One Arnoldi step is an rfft of W x,
+the band of B (an m × m product), -K̂ = i on the bins outside the band,
+one solve with the band block's factors and an irfft: O(n log n + m²).
+Dense products go through scipy's BLAS, the one that owns the factors,
+so an Arnoldi step stays on one OpenBLAS thread pool (see
+`steklov.densela`).
+
+μ comes out of each eigenvector.  The residual ||(I - B) μ_j + C γ_j||_2
+applies B and C̃ through every coefficient of the kernel sample, not
+only the band, so it is the grid operator's to the sample's rounding
+floor.  `SteklovSpectrum` records the band size m, the sample size m'
+and the band tail; they are diagnostics, not warnings (a grid just
+below the band, like the kite at n = 160, is resolved).
 
 Traces are normalized to (2π/n) Σ_j |η'(t_j)| γ(t_j)² = 1 with the
 largest-magnitude component positive.  A trace tail (Fourier energy in
@@ -32,15 +43,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas, eigh
+from scipy.sparse.linalg import LinearOperator
 
 from .curves import BoundaryCurve, DomainKind, Grid
 from .densela import smallest_magnitude_eigs
 from .operators import (
+    BandPencil,
     DiscretizationError,
     DtnDiscretization,
     apply_diff_fast,
+    build_band_pencil,
     build_dtn,  # noqa: F401  (kept importable here: perfbench traces it by this name)
-    build_pencil,
     diff_multiplier,
     fourier_diff_matrix,  # noqa: F401  (kept importable here: perfbench traces it by this name)
 )
@@ -80,12 +93,20 @@ class SteklovSpectrum:
     conjugates : ndarray, shape (n, k)
         Harmonic conjugates μ_j = E γ_j, recovered from the pencil.
     residuals : ndarray, shape (k,)
-        ||(I - B) μ_j + C γ_j||_2 per mode, with A applied from its LU.
+        ||(I - B) μ_j + C γ_j||_2 per mode, with B and C̃ applied
+        through the whole kernel sample.
     trace_tail : ndarray, shape (k,)
         Relative Fourier tail of each trace (bins >= 3n/8).
     perimeter, area : float
         Boundary length and enclosed area (bounded complement for
         exterior domains), measured on the same grid.
+    band_size, sample_size : int
+        The kernels' band m (real Fourier coordinates, at most n) and
+        the sample m' it was read from.
+    band_tail : float
+        The largest real or imaginary part of a kernel coefficient in
+        the sample's outer quarter:
+        at the rounding floor unless m' reached n first.
     """
 
     curve: BoundaryCurve
@@ -100,6 +121,9 @@ class SteklovSpectrum:
     trace_tail: np.ndarray
     perimeter: float
     area: float
+    band_size: int
+    sample_size: int
+    band_tail: float
 
     @property
     def bounded(self) -> bool:
@@ -136,16 +160,9 @@ def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
     if k + 2 > n // 2:
         raise ValueError(f"k + 2 = {k + 2} eigenpairs exceed the resolvable band n/2 = {n // 2}")
 
-    grid, b, factors = build_pencil(curve, n)
-    pinv = diff_multiplier(n, pinv=True)
-    mx = np.zeros(n + 2)  # the solve copies it, so each step may overwrite it
-
-    def apply_m(x):  # M x = [(B - I) D⁺ W x_1..n, 0, 0], D⁺ as in apply_diff_fast
-        g = np.fft.irfft(np.fft.rfft(grid.speed * x[:n]) * pinv, n)
-        np.subtract(blas.dgemv(1.0, b, g), g, out=mx[:n])
-        return mx
-
-    pairs = smallest_magnitude_eigs(factors, k, apply_m)
+    pencil = build_band_pencil(curve, n)
+    grid = pencil.grid
+    pairs = smallest_magnitude_eigs(_shift_invert(pencil), k, border=2)
     order = np.argsort(pairs.values.real, kind="stable")
     lam = pairs.values.real[order]
     vectors = pairs.vectors[:, order]
@@ -158,12 +175,12 @@ def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
     vectors[:, peak < 0.0] *= -1.0
     traces = vectors[:n]
     alt = (-1.0) ** np.arange(n)
-    lam_g = apply_diff_fast(grid.speed[:, None] * traces, pinv=True) * lam
-    conjugates = lam_g + (vectors[n] + np.outer(alt, vectors[n + 1]))
-    b_lam_g = blas.dgemm(1.0, b, lam_g)
-    residuals = np.linalg.norm(factors.matvec(vectors)[:n] + lam_g - b_lam_g, axis=0)
-    energy = np.abs(np.fft.rfft(traces, axis=0)) ** 2
-    tail = np.sqrt(np.sum(energy[(3 * n + 7) // 8 :], axis=0) / np.sum(energy, axis=0))
+    conjugates = apply_diff_fast(grid.speed[:, None] * traces, pinv=True) * lam
+    conjugates += vectors[n] + np.outer(alt, vectors[n + 1])
+    traces_hat = np.ascontiguousarray(np.fft.rfft(traces.T, axis=1))
+    residuals = _residuals(pencil, traces_hat, conjugates)
+    energy = np.abs(traces_hat) ** 2
+    tail = np.sqrt(np.sum(energy[:, (3 * n + 7) // 8 :], axis=1) / np.sum(energy, axis=1))
     if np.max(tail) > TRACE_TAIL_WARN:
         warnings.warn(
             f"{curve.name} at n={n}: trace tail {np.max(tail):.2g} > {TRACE_TAIL_WARN:g}; "
@@ -188,7 +205,68 @@ def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
         trace_tail=tail,
         perimeter=grid.perimeter,
         area=area,
+        band_size=pencil.band.size,
+        sample_size=pencil.band.sample_n,
+        band_tail=pencil.band.tail,
     )
+
+
+def _shift_invert(pencil: BandPencil) -> LinearOperator:
+    """x -> A⁻¹ M x for the pencil of `pencil`, in O(n log n + m²) per call.
+
+    With g = D⁺ W γ the right-hand side is F = -(I - B) g: -ĝ plus the
+    band of B times ĝ.  Outside the band A acts as -K̂ = i, so there
+    Γ = F / i = i ĝ.  The band block gets F on its bins and, in its two
+    constraint rows, -Nᵀ W of the Γ just found outside; its solution
+    fills the band's bins and the border unknowns n a and n b.
+    """
+    grid, band, factors = pencil.grid, pencil.band, pencil.factors
+    n = grid.n
+    nb = band.b_band.shape[0]
+    inner = min(nb, n)
+    rows_out = np.asfortranarray(pencil.rows[:, inner:n])
+    speed, b_band = grid.speed, np.asfortranarray(band.b_band)
+    # D⁺, times -1 on the band (F = -ĝ + B ĝ) and times i outside it (Γ = i ĝ)
+    mult = diff_multiplier(n, pinv=True)
+    mult[: nb // 2] *= -1.0
+    mult[nb // 2 :] *= 1j
+    slots = np.r_[0:inner, n, n + 1]  # the band block's unknowns in the rfft view
+    border = np.array([1, n + 1])  # n a and n b
+    wx = np.empty(n)
+    out = np.empty(n + 2)  # ARPACK copies it, so each call may overwrite it
+
+    def apply(x):
+        f = np.fft.rfft(np.multiply(speed, x[:n], out=wx))
+        f *= mult
+        fv = f.view(float)
+        band_part = fv[:nb]
+        band_part -= blas.dgemv(1.0, b_band, band_part)
+        rhs = fv[slots]
+        if inner < n:
+            rhs[[1, -1]] = blas.dgemv(-1.0, rows_out, fv[inner:n])
+        fv[slots] = factors.solve(rhs)
+        out[n:] = fv[border] / n
+        fv[border] = 0.0
+        out[:n] = np.fft.irfft(f, n)
+        return out
+
+    return LinearOperator((n + 2, n + 2), matvec=apply, dtype=float)
+
+
+def _residuals(pencil: BandPencil, gamma_hat: np.ndarray, conjugates: np.ndarray) -> np.ndarray:
+    """||(I - B) μ_j + C γ_j||_2 per mode, C = -K + C̃, with B and C̃ from the whole sample.
+
+    `gamma_hat` is rfft(γ_j) in row j, row-major.  B and C̃ act on the interleaved
+    (re, im) view of the bins the sample carries; beyond them they are zero.
+    """
+    n, band = pencil.grid.n, pencil.band
+    s = band.b_sample.shape[0]
+    r = np.ascontiguousarray(np.fft.rfft(conjugates.T, axis=1))
+    rv = r.view(float)
+    rv[:, :s] -= blas.dgemm(1.0, rv[:, :s], band.b_sample, trans_b=1)
+    rv[:, :s] += blas.dgemm(1.0, gamma_hat.view(float)[:, :s], band.c_sample, trans_b=1)
+    r[:, 1 : n // 2] += 1j * gamma_hat[:, 1 : n // 2]  # -K γ
+    return np.linalg.norm(np.fft.irfft(r, n, axis=1), axis=1)
 
 
 def _normal_velocity(spectrum: SteklovSpectrum, velocity) -> tuple[np.ndarray, ...]:

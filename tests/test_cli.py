@@ -132,11 +132,15 @@ def test_modes_reads_steklov_1_spectrum(tmp_path):
 
 
 def test_singular_pencil_is_solver_error(tmp_path, capsys, monkeypatch):
+    factored = []
+
     def singular(a, *args, **kwargs):
+        factored.append(np.shape(a))
         raise SingularMatrixError("zero pivot")
 
     monkeypatch.setattr(steklov.operators, "lu_factor", singular)
     code = run_cli(["solve", "--curve", "disk", "--n", "32", "--k", "2", "--output", str(tmp_path)])
+    assert factored == [(4, 4)]  # the capacitance block: the disk's band is the constant
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "DiscretizationError"
 

@@ -262,6 +262,33 @@ def test_scale_to_perimeter_needs_scale_parameter():
         scale_to_perimeter("kite", {}, 2 * np.pi, 64)
 
 
+@pytest.mark.parametrize("kind", list(DomainKind))
+@pytest.mark.parametrize("family, r, n", [("ellipse", 2.0, 256), ("ellipse", 3.1, 256),
+                                          ("star2", 0.5, 64), ("ellipse", 7.0, 1024)])
+def test_scale_to_perimeter_is_bitwise_the_reference_construction(family, r, n, kind):
+    # the perimeter of the a = 1 member comes from the family table, not from
+    # a built and checked reference curve, with the same floating-point operations
+    reference = make_builtin(family, {"r": r, "a": 1.0}, kind=kind)
+    a = 2 * np.pi / perimeter(reference, n)
+    c = scale_to_perimeter(family, {"r": r}, 2 * np.pi, n, kind=kind)
+    assert c.params["a"] == a
+    t = nodes(512)
+    expected = make_builtin(family, {"r": r, "a": a}, kind=kind)
+    for f in ("eta", "eta1", "eta2", "eta_r"):
+        assert np.array_equal(getattr(c, f)(t), getattr(expected, f)(t)), f
+
+
+def test_scale_to_perimeter_grid_errors():
+    for n in (8, 15, 33):  # perimeter needs n >= 16 and an even grid
+        with pytest.raises(CurveError):
+            scale_to_perimeter("ellipse", {"r": 2.0}, 2 * np.pi, n)
+    for target in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(CurveError):
+            scale_to_perimeter("ellipse", {"r": 2.0}, target)
+    with pytest.raises(CurveError):  # the scaled member is still checked in full
+        scale_to_perimeter("ellipse", {"r": 2.0}, 2 * np.pi, 64, alpha=5.0)
+
+
 # ---------------------------------------------------------------------------
 # Grids
 # ---------------------------------------------------------------------------

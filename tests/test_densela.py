@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse.linalg import ArpackError
+from scipy.sparse.linalg import ArpackError, LinearOperator
 
 import steklov.densela
 from steklov import make_builtin
@@ -56,12 +56,6 @@ def test_lu_solve_residual(rng):
     assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b) * np.linalg.cond(a)
 
 
-def test_lu_matvec_applies_the_factored_matrix(rng):
-    a = rng.uniform(-1.0, 1.0, size=(40, 40))
-    x = rng.uniform(-1.0, 1.0, size=(40, 3))
-    assert np.max(np.abs(lu_factor(a).matvec(x) - a @ x)) <= 1e-13
-
-
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("shape", [(40,), (40, 3)])
 def test_lu_solve_is_bitwise_scipy_lu_solve(rng, shape, order):
@@ -73,24 +67,25 @@ def test_lu_solve_is_bitwise_scipy_lu_solve(rng, shape, order):
     assert np.array_equal(x, scipy.linalg.lu_solve((f.lu, f.piv), b))
 
 
-def test_lu_overwrite_factors_in_place(rng):
+def test_lu_leaves_its_input_unchanged(rng):
     a = np.asfortranarray(rng.uniform(-1.0, 1.0, size=(30, 30)))
-    ref = lu_factor(a)
-    assert not np.shares_memory(ref.lu, a)
-    f = lu_factor(a, overwrite_a=True)
-    assert np.shares_memory(f.lu, a)
-    assert np.array_equal(f.lu, ref.lu) and np.array_equal(f.piv, ref.piv)
-    bad = np.asfortranarray(np.eye(3))
-    bad[1, 2] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        lu_factor(bad, overwrite_a=True)
-    with pytest.raises(SingularMatrixError):
-        lu_factor(np.asfortranarray([[1.0, 2.0], [2.0, 4.0]]), overwrite_a=True)
+    kept = a.copy()
+    f = lu_factor(a)
+    assert not np.shares_memory(f.lu, a)
+    assert np.array_equal(a, kept)
 
 
 def test_lu_singular_raises():
     with pytest.raises(SingularMatrixError):
         lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+def test_lu_rejects_a_nan():
+    # scipy is called with check_finite=False, so lu_factor checks itself
+    bad = np.eye(3)
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        lu_factor(bad)
 
 
 def test_lu_rejects_nonsquare():
@@ -187,6 +182,32 @@ def test_k_bounds():
         smallest_magnitude_eigs(a, k=5)
     with pytest.raises(ValueError):
         smallest_magnitude_eigs(a, k=3)  # Arnoldi needs k <= n - 2
+
+
+def test_operator_gives_the_matrix_eigenpairs(rng):
+    a = _similarity_matrix(rng, np.linspace(1.0, 20.0, 30))
+    factors = lu_factor(a)
+    op = LinearOperator(a.shape, matvec=factors.solve, dtype=float)
+    ref, got = smallest_magnitude_eigs(a, k=4), smallest_magnitude_eigs(op, k=4)
+    assert np.array_equal(got.values, ref.values)
+    assert np.array_equal(got.vectors, ref.vectors)
+
+
+def test_start_vector_has_the_grid_period_and_a_zero_border(monkeypatch):
+    starts = []
+    arpack = steklov.densela._arpack_eigs
+
+    def recording(*args, **kwargs):
+        starts.append(kwargs["v0"])
+        return arpack(*args, **kwargs)
+
+    monkeypatch.setattr(steklov.densela, "_arpack_eigs", recording)
+    n, k = 40, 3
+    op = LinearOperator((n + 2, n + 2), matvec=lambda x: x / np.arange(1.0, n + 3.0), dtype=float)
+    smallest_magnitude_eigs(op, k, border=2)
+    phase = np.outer(np.arange(n), np.arange(1, k + 3)) * (2.0 * np.pi / n)
+    assert np.array_equal(starts[0][:n], np.sum(np.cos(phase) + np.sin(phase), axis=1))
+    assert np.array_equal(starts[0][n:], [0.0, 0.0])
 
 
 def test_arpack_error_is_eigen_solve_error(monkeypatch):

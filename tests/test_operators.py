@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-import steklov.operators
 from steklov import DomainKind, make_builtin, scale_to_perimeter
 from steklov.curves import build_grid, nodes
-from steklov.densela import lu_factor
 from steklov.operators import (
     apply_diff_fast,
     build_dtn,
-    build_pencil,
     fourier_diff_matrix,
+    kernel_band,
     kernel_values,
     nystrom_matrices,
     wittich_matrix,
@@ -219,18 +217,49 @@ def test_nystrom_panel_edges_match_kernel_values(n, kind):
         assert np.max(np.abs(c - (-k + h * mt_val))) <= 1e-13, curve.name
 
 
-def test_pencil_is_factored_in_place(kite_bounded, monkeypatch):
-    filled = []
+@pytest.mark.parametrize("kind", [DomainKind.BOUNDED_INTERIOR, DomainKind.UNBOUNDED_EXTERIOR])
+def test_band_from_a_sample_is_the_grids_band(kind):
+    # the kite's kernels resolve on fewer than 512 nodes; at n = 512 the
+    # sample's matrices act on the bins it carries as the grid's B and C̃ do
+    curve = make_builtin("kite", kind=kind)
+    n = 512
+    grid = build_grid(curve, n)
+    band = kernel_band(curve, grid)
+    assert band.sample_n < n
+    s = band.b_sample.shape[0]
+    assert s == band.sample_n  # the bins |q| < m'/2, as (re, im) pairs
+    b, c = nystrom_matrices(grid, curve)
+    v_hat = np.zeros((n // 2 + 1, 3), dtype=complex)
+    v_hat[: s // 2] = np.random.default_rng(5).standard_normal((s // 2, 3, 2)) @ [1.0, 1j]
+    v = np.fft.irfft(v_hat, n, axis=0)
+    xi = np.fft.rfft(v.T.copy(), axis=1).view(float)[:, :s]
+    for x, sample in ((b, band.b_sample), (c + wittich_matrix(n), band.c_sample)):
+        ref = np.fft.rfft((x @ v).T.copy(), axis=1).view(float)[:, :s]
+        assert np.max(np.abs(xi @ sample.T - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def spy(a, *args, **kwargs):
-        filled.append(a)
-        return lu_factor(a, *args, **kwargs)
 
-    monkeypatch.setattr(steklov.operators, "lu_factor", spy)
-    *_, factors = build_pencil(kite_bounded, 70)
-    assert len(filled) == 1
-    assert filled[0].shape == (72, 72)
-    assert np.shares_memory(factors.lu, filled[0])
+def test_band_size_does_not_depend_on_the_grid(kite_bounded):
+    bands = [kernel_band(kite_bounded, build_grid(kite_bounded, n)) for n in (1024, 2048)]
+    assert [(b.sample_n, b.size) for b in bands] == [(256, 189)] * 2
+    assert all(b.tail <= 0.5 * np.finfo(float).eps * b.sample_n for b in bands)
+    assert np.array_equal(bands[0].b_band, bands[1].b_band)
+    assert np.array_equal(bands[0].c_band, bands[1].c_band)
+
+
+def test_band_of_an_under_resolved_grid_is_the_whole_grid(g1_curve):
+    # g1's kernels need ~512 nodes; on 64 the sample is the grid, and the
+    # tail says how far from resolved it is
+    band = kernel_band(g1_curve, build_grid(g1_curve, 64))
+    assert (band.sample_n, band.size) == (64, 64)
+    assert band.tail > 1e-3
+
+
+def test_disk_band_is_the_constant(disk):
+    # B = -(1/n) 1 1ᵀ and C̃ = 0: one coefficient, T_B[0, 0] = -1
+    band = kernel_band(disk, build_grid(disk, 256))
+    assert (band.sample_n, band.size) == (64, 1)
+    assert band.b_band == pytest.approx(np.array([[-1.0, 0.0], [0.0, 0.0]]), abs=1e-15)
+    assert np.max(np.abs(band.c_band)) <= 1e-15
 
 
 def test_nystrom_circle_matrices(disk):

@@ -264,6 +264,15 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
+def test_import_leaves_scipy_fft_unloaded():
+    # the band solve takes its FFTs from numpy.fft, which numpy loads anyway;
+    # importing scipy.fft would add ~0.1 s to every `import steklov`
+    src = str(Path(steklov.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import sys, steklov; sys.exit(int('scipy.fft' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
 # ---------------------------------------------------------------------------
 # Inequalities
 # ---------------------------------------------------------------------------
