@@ -5,10 +5,11 @@ is discretized on an equidistant boundary grid as ρ D E, where D is
 spectral differentiation, E the (generalized) harmonic-conjugation
 matrix built from a boundary integral equation, and ρ = 1/|η'| the
 arclength weight.  Its low eigenvalues are the Steklov spectrum; the
-solver finds them from an (n+2)-square pencil that never forms E, Q or
-the pencil matrix itself: the smooth kernels enter through their
-Fourier band, so a solve costs one O(m³) factorization plus
-O(n log n + m²) per Arnoldi step, with the band m independent of n.
+solver finds them from the symmetric-definite pencil D E x = λ |η'| x
+in Fourier coordinates, where D E is diag|p| plus one block on the
+smooth kernels' Fourier band: one O(m³) factorization, with the band m
+independent of n, and one symmetric eigensolve on the trigonometric
+polynomials of a derived degree P <= n/2.
 Eigenfunctions extend into the domain by the Cauchy integral.
 """
 
@@ -25,7 +26,7 @@ from .curves import (
     perimeter,
     scale_to_perimeter,
 )
-from .densela import EigenPairSet, lu_factor, smallest_magnitude_eigs
+from .densela import lu_factor, smallest_magnitude_eigs
 from .extension import (
     BoundaryFunction,
     FieldSample,
@@ -70,7 +71,6 @@ __all__ = [
     "DiscretizationError",
     "DomainKind",
     "DtnDiscretization",
-    "EigenPairSet",
     "FieldSample",
     "GapRecord",
     "Grid",

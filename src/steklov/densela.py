@@ -1,23 +1,17 @@
-"""Minimal dense linear algebra: partial-pivot LU and small-eigenvalue extraction.
+"""Minimal dense linear algebra: a partial-pivot LU and a symmetric-definite eigensolve.
 
+`lu_factor` factors a real square matrix once; `LUFactors.solve` solves
+with the factors for a vector or a matrix of right-hand sides.
 `smallest_magnitude_eigs` returns the k eigenpairs of smallest modulus
-of a real square matrix, or of a real pencil A x = λ M x, whose
-relevant spectrum is real (as for the Steklov pencil solved here).  It
-runs implicitly restarted Arnoldi iteration on A^{-1} M (ARPACK) at
-every size, driven either by one LU factorization of a given matrix A
-or by a caller's operator x -> A^{-1} M x (the Steklov solve applies its
-pencil through the kernels' Fourier band); ARPACK's machine-precision
-tolerance and default restart budget are used.  The fixed start
-Σ_{m=1}^{k+2} (cos + sin)(2π m j / n), on the n grid entries of the
-vectors and zero on any border entries after them, keeps runs bitwise
-reproducible; unlike a constant, it has content in every reflection class
-of the grid, and an M that annihilates constants (the disk's) cannot zero
-it.
+of a symmetric-definite pencil S x = λ W x (S symmetric, W symmetric
+positive definite) from LAPACK's generalized symmetric eigensolver
+(`scipy.linalg.eigh`); on a positive semidefinite S they are the k
+lowest.  Both are deterministic: the same input gives the same bits on
+the same BLAS.
 
 Solves with the factors go through scipy's LAPACK, and callers' products
-through scipy's BLAS, never numpy's `@`: numpy and scipy may link
-separate OpenBLAS builds, whose two thread pools an Arnoldi loop would
-make compete for the cores on every step.
+with them through scipy's BLAS, never numpy's `@`: numpy and scipy may
+link separate OpenBLAS builds, each with its own thread pool.
 """
 
 from __future__ import annotations
@@ -28,12 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.linalg import LinAlgWarning
-from scipy.sparse.linalg import ArpackError, LinearOperator
-from scipy.sparse.linalg import eigs as _arpack_eigs
 
 __all__ = [
-    "ComplexEigenvalueError",
-    "EigenPairSet",
     "EigenSolveError",
     "LUFactors",
     "SingularMatrixError",
@@ -41,20 +31,13 @@ __all__ = [
     "smallest_magnitude_eigs",
 ]
 
-# Relative bound on imaginary parts that count as rounding noise.
-_IMAG_TOL = 1e-8
-
 
 class SingularMatrixError(RuntimeError):
     """Factorization hit an exactly singular pivot."""
 
 
 class EigenSolveError(RuntimeError):
-    """Eigenvalue iteration failed to converge or ARPACK reported an error."""
-
-
-class ComplexEigenvalueError(EigenSolveError):
-    """A requested eigenvalue has an imaginary part beyond tolerance."""
+    """The symmetric-definite eigensolve failed: W is not positive definite, or no convergence."""
 
 
 @dataclass(frozen=True)
@@ -98,111 +81,31 @@ def lu_factor(a: np.ndarray) -> LUFactors:
     return LUFactors(lu=lu, piv=piv)
 
 
-def _order_and_realify(
-    values: np.ndarray, vectors: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the k smallest-modulus pairs, sorted, with real vectors.
-
-    Imaginary parts below _IMAG_TOL * |value| are rounding noise and are
-    truncated; anything larger means the matrix has a genuinely complex
-    pair where a real one was expected.  A nearly degenerate real pair
-    may come back from the solver as a complex-conjugate pair (tiny
-    imaginary values, fully complex vectors v and conj(v)); Re v and
-    Im v then span the pair's invariant subspace and replace the two
-    columns after orthonormalization; a pair cut by k keeps the first.
-    """
-    order = np.argsort(np.abs(values), kind="stable")[:k]
-    values = values[order]
-    vectors = vectors[:, order]
-
-    bad = np.abs(values.imag) > _IMAG_TOL * np.abs(values)
-    if np.any(bad):
-        raise ComplexEigenvalueError(
-            f"eigenvalue {values[np.argmax(bad)]:.6g} has imaginary part beyond "
-            f"tolerance {_IMAG_TOL:g}; the requested spectrum is expected to be real"
-        )
-
-    real_vectors = np.empty(vectors.shape, dtype=float)
-    j = 0
-    while j < k:
-        v = vectors[:, j]
-        pivot = v[np.argmax(np.abs(v))]
-        w = v * (np.conj(pivot) / abs(pivot))
-        if np.max(np.abs(w.imag)) <= _IMAG_TOL * np.max(np.abs(w.real)):
-            real_vectors[:, j] = w.real / np.linalg.norm(w.real)
-            j += 1
-            continue
-        pair_ok = j + 1 == k or abs(np.conj(values[j + 1]) - values[j]) <= _IMAG_TOL * max(
-            1.0, abs(values[j])
-        )
-        if not pair_ok:
-            raise ComplexEigenvalueError(
-                f"eigenvector {j} is essentially complex and not part of a "
-                "conjugate pair; expected a real eigenbasis"
-            )
-        basis, _ = np.linalg.qr(np.column_stack([v.real, v.imag]))
-        real_vectors[:, j : j + 2] = basis[:, : k - j]
-        j += 2
-
-    return values.real.astype(complex), real_vectors
-
-
-@dataclass(frozen=True)
-class EigenPairSet:
-    """Eigenpairs sorted ascending by modulus, with unit-norm real vectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def smallest_magnitude_eigs(
-    a: np.ndarray | LinearOperator, k: int, border: int = 0
-) -> EigenPairSet:
-    """Compute the k smallest-modulus eigenpairs of A x = λ M x.
+    s: np.ndarray, w: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k eigenpairs of S x = λ W x of smallest modulus, ascending, with xᵀ W x = 1.
 
-    Shift-invert Arnoldi: ARPACK finds the k largest-modulus
-    eigenvalues 1/λ of A^{-1} M.
-
-    Parameters
-    ----------
-    a : ndarray or LinearOperator
-        A real square matrix A with (numerically) real target
-        eigenvalues, for the standard problem (M = I), factored here by
-        `lu_factor`; or an operator applying A^{-1} M.
-    k : int
-        Number of eigenpairs, 1 <= k <= N - 2 for vectors of size N.
-    border : int
-        Trailing entries of the vectors that are not grid values (the
-        pencil's two border unknowns); the start vector is zero there.
+    Only the lower triangles of S and W are read; degenerate eigenvalues
+    get W-orthonormal vectors.  The k of smallest modulus are the k
+    lowest unless the lowest is negative (S indefinite): one solve for
+    the k lowest, and for an indefinite S one for the whole spectrum.
 
     Raises
     ------
-    SingularMatrixError
-        A given matrix is exactly singular (0 is then an eigenvalue; the
-        inverse iteration has no meaning).
     EigenSolveError
-        ARPACK failed, or did not converge within the restart budget.
-    ComplexEigenvalueError
-        A requested eigenvalue is complex beyond rounding level.
+        If W is not positive definite or the eigensolver does not
+        converge (LAPACK's `LinAlgError`).
     """
-    if isinstance(a, LinearOperator):
-        op = a
-    else:
-        factors = lu_factor(a)
-        op = LinearOperator(factors.lu.shape, matvec=factors.solve, dtype=float)
-    size = op.shape[0]
-    if not 1 <= k <= size - 2:
-        raise ValueError(f"k must satisfy 1 <= k <= n - 2, got k={k}, n={size}")
-
-    ncv = min(size, max(2 * k + 4, 20))
-    n = size - border
-    phase = np.outer(np.arange(n), np.arange(1, k + 3)) * (2.0 * np.pi / n)
-    v0 = np.zeros(size)
-    v0[:n] = np.sum(np.cos(phase) + np.sin(phase), axis=1)
+    size = np.shape(s)[0]
+    if not 1 <= k <= size:
+        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={size}")
     try:
-        inv_values, vectors = _arpack_eigs(op, k=k, which="LM", v0=v0, ncv=ncv)
-    except ArpackError as exc:  # ArpackNoConvergence is one
-        raise EigenSolveError(f"Arnoldi iteration failed: {exc}") from exc
-
-    values, vectors = _order_and_realify(1.0 / inv_values, vectors, k)
-    return EigenPairSet(values=values, vectors=vectors)
+        values, vectors = scipy.linalg.eigh(s, w, subset_by_index=(0, k - 1))
+        if values[0] < 0.0:
+            values, vectors = scipy.linalg.eigh(s, w)
+            keep = np.sort(np.argsort(np.abs(values), kind="stable")[:k])
+            values, vectors = values[keep], vectors[:, keep]
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolveError(f"symmetric-definite eigensolve failed: {exc}") from exc
+    return values, vectors

@@ -1,18 +1,16 @@
 """Discrete operator stack on the equidistant boundary grid.
 
-For an even grid size n the module assembles
+For an even grid size n the module provides
 
-* ``D`` — spectral differentiation of the trigonometric interpolant,
-  D = F W F* with the DFT matrix F and the diagonal frequency matrix
-  W (the Nyquist slot of W is zero, so D annihilates the alternating
-  mode cos(n t / 2)).  The solver applies D as a Fourier multiplier
-  (`apply_diff_fast`, a real FFT along the first axis, O(n log n) per
-  column); the dense `fourier_diff_matrix` is the reference it is
-  tested against;
+* ``D`` — spectral differentiation of the trigonometric interpolant: i p
+  on the rfft bin p, zero on the Nyquist bin, so D annihilates the
+  alternating mode cos(n t / 2).  `apply_diff_fast` applies it by the
+  real FFT, O(n log n) per column; the dense `fourier_diff_matrix` is
+  the reference it is tested against;
 * ``K`` — the discrete conjugation (Hilbert transform) matrix,
   K_ij = (2/n) cot((i-j) π / n) for odd i-j, zero otherwise, a
-  circulant built from one column; in the DFT basis it is -i on the
-  bins 0 < p < n/2 and zero on the constant and the Nyquist bin;
+  circulant built from one column; it is -i on the bins 0 < p < n/2
+  and zero on the constant and the Nyquist bin, so D K = diag|p|;
 * ``B``, ``C`` — Nyström matrices for the boundary integral equation
   (I - N) μ = -M γ: B discretizes the continuous Neumann-type kernel
   N(s,t) by the trapezoidal rule, and C = -K + C̃ splits the singular
@@ -22,10 +20,10 @@ For an even grid size n the module assembles
   adds back depend on i-j only and enter C as a single circulant;
 * ``E = -(I - B)^{-1} C`` — the conjugation matrix mapping the
   boundary values of Re f to those of Im f, for f analytic in the
-  domain with Im f(α) = 0 (bounded) or Im f(∞) = 0 (exterior);
-* the Fourier band of B and C̃ (`kernel_band`) and the Steklov pencil
-  matrix factored on it (`build_band_pencil`); unless the grid is
-  coarser than the kernels' band, the solve forms no n-square array.
+  domain with Im f(α) = 0 (bounded) or Im f(∞) = 0 (exterior).
+  `build_dtn` assembles it densely, the paper's way, for checks and
+  `--dump-operators`; the solve uses its Fourier form, K plus the one
+  block E - K on the kernels' band (`kernel_band`, `conjugation_system`).
 
 With A(t) = η(t) - α for bounded domains and A(t) = 1 for exterior
 ones, the kernels are
@@ -55,7 +53,9 @@ in its real and imaginary part.  B and C̃ are kept as real matrices
 on the bins the sample carries; the band is every frequency
 |p|, |q| <= L that carries a part above that floor, m = 2L + 1 real
 Fourier coordinates.  It does not grow with n, and a grid below it is
-sampled whole (m' = n).
+sampled whole (m' = n).  E - K = -(I - B)⁻¹(C̃ - B K) lives on the same
+band, so `conjugation_system` gets it from one m-square LU; unless the
+grid is coarser than the kernels' band, no n-square array is formed.
 """
 
 from __future__ import annotations
@@ -70,13 +70,12 @@ from .curves import BoundaryCurve, DomainKind, Grid, build_grid, nodes
 from .densela import LUFactors, SingularMatrixError, lu_factor
 
 __all__ = [
-    "BandPencil",
     "DiscretizationError",
     "DtnDiscretization",
     "KernelBand",
     "apply_diff_fast",
-    "build_band_pencil",
     "build_dtn",
+    "conjugation_system",
     "diff_multiplier",
     "fourier_diff_matrix",
     "kernel_band",
@@ -346,7 +345,7 @@ def build_dtn(curve: BoundaryCurve, n: int) -> DtnDiscretization:
 
 
 # ---------------------------------------------------------------------------
-# The kernels' Fourier band and the pencil factored on it
+# The kernels' Fourier band and the conjugation matrix on it
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -507,73 +506,32 @@ def kernel_band(curve: BoundaryCurve, grid: Grid) -> KernelBand:
                       b_sample=b_sample, c_sample=c_sample)
 
 
-@dataclass(frozen=True)
-class BandPencil:
-    """The (n+2)-square Steklov pencil matrix A of one grid, factored on the kernels' band.
+def conjugation_system(band: KernelBand) -> tuple[LUFactors, np.ndarray]:
+    """The LU of the band's I - B̂ and C̃ - B̂ K̂, whose solve is Ê - K̂.
 
-    A = [[C, (I - B) N], [Nᵀ W, 0]] with N = [1, alt], alt_j = (-1)^j,
-    and W = diag|η'|, acting on x = (γ, a, b).  In the coordinates
-    ξ = rfft(γ).view(float), with n a and n b in the two slots that are
-    zero for a real γ (Im of the constant and of the Nyquist bin):
-
-    * A = A₀ + U V, where A₀ = [[-K, N], [Nᵀ, 0]] is -K̂ = i on each bin
-      0 < p < n/2 and ties the two border unknowns to the constant and
-      Nyquist bins, and U V (rank m + 4) holds the band of C̃, the
-      columns -B N and the rows Nᵀ(W - I);
-    * outside the band only A₀'s diagonal acts, so A is block triangular:
-      the band block A_LL (the bins p <= L, the Nyquist bin and the
-      border, m + 3 unknowns) and the diagonal -K̂ on the rest, which
-      enters the band block only through the two rows Nᵀ W.
-
-    ``factors`` is the LU of A_LL.  The Woodbury capacitance matrix
-    I + V A₀⁻¹ U of the same split is A_LL times the inverse of A₀'s own
-    band block, so both are singular together.  ``rows`` holds Nᵀ W in
-    the ξ coordinates, shape (2, n + 2).
-    """
-
-    grid: Grid
-    band: KernelBand
-    rows: np.ndarray = field(repr=False)
-    factors: LUFactors = field(repr=False)
-
-
-def build_band_pencil(curve: BoundaryCurve, n: int) -> BandPencil:
-    """Grid, kernel band and the factored band block of the Steklov pencil for (curve, n).
+    E - K = -(I - B)⁻¹(C + (I - B) K) and C = -K + C̃, so E - K is
+    -(I - B)⁻¹(C̃ - B K).  C̃ - B K vanishes outside the band and I - B
+    is the identity there, so E - K is one block in the layout of
+    ``band.b_band``: -factors.solve(rhs), and any leading columns of it
+    from the same columns of rhs.  K̂ is -i on the bins 0 < p < n/2: it
+    maps (re, im) to (im, -re).
 
     Raises
     ------
     DiscretizationError
-        If the band block (and so the pencil) is singular.
+        If the band's I - B̂ is singular.
     """
-    grid = build_grid(curve, n)
-    band = kernel_band(curve, grid)
-    # Σ_j w_j γ_j = (1/n) Σ_q conj(W_q) Γ_q over all bins, so in the
-    # interleaved layout the rfft bins 0 < p < n/2 count twice.
-    weight = np.full(n + 2, 2.0 / n)
-    weight[[0, 1, n, n + 1]] = 1.0 / n
-    rows = np.stack([np.fft.rfft(grid.speed).view(float),
-                     np.fft.rfft(grid.speed * (-1.0) ** np.arange(n)).view(float)]) * weight
-
-    nb = band.b_band.shape[0]
-    inner = min(nb, n)
-    slots = np.r_[0:inner, n, n + 1]  # the band block's unknowns among the n + 2 slots of ξ
-    s = inner + 2
-    a = np.zeros((s, s), order="F")
-    k = min(nb, s)
-    a[:k, :k] = band.c_band[:k, :k]
-    p = np.arange(1, min(nb // 2, n // 2))  # -K̂ = i on the band's bins 0 < p < n/2
-    a[2 * p, 2 * p + 1] -= 1.0
-    a[2 * p + 1, 2 * p] += 1.0
-    a[:, 1] = 0.0
-    a[:k, 1] = -band.b_band[:k, 0]  # n a: the constant minus B times it
-    a[0, 1] += 1.0
-    a[:, s - 1] = 0.0
-    if nb > n:
-        a[:k, s - 1] = -band.b_band[:k, n]  # n b: the Nyquist bin minus B times it
-    a[s - 2, s - 1] += 1.0
-    a[[1, s - 1]] = rows[:, slots]
+    b = band.b_band
+    q = np.arange(1, min(b.shape[0] // 2, band.sample_n // 2))  # the band's bins 0 < q < n/2
+    rhs = np.array(band.c_band, order="F")
+    rhs[:, 2 * q] += b[:, 2 * q + 1]
+    rhs[:, 2 * q + 1] -= b[:, 2 * q]
+    i_minus_b = -b
+    i_minus_b[np.diag_indices_from(i_minus_b)] += 1.0
     try:
-        factors = lu_factor(a)
+        factors = lu_factor(i_minus_b)
     except SingularMatrixError as exc:
-        raise DiscretizationError(f"the Steklov pencil is singular at n={n}; increase n") from exc
-    return BandPencil(grid=grid, band=band, rows=rows, factors=factors)
+        raise DiscretizationError(
+            f"the band's I - B is singular (m = {band.size}); increase n"
+        ) from exc
+    return factors, rhs

@@ -1,33 +1,54 @@
-"""Steklov spectra from the pencil, solved through the kernels' Fourier band.
+"""Steklov spectra as one symmetric-definite eigenproblem in Fourier coordinates.
 
 The boundary condition ∂u/∂n = λ u for a harmonic u = Re f turns, in
 the boundary parametrization, into μ' = λ W γ with γ = Re f(η(t)),
-μ = Im f(η(t)) and W = diag|η'|, and the boundary integral equation
-ties the traces by (I - B) μ = -C γ.  With D⁺ the FFT pseudo-inverse of
-D and N = [1, alt] (alt_j = (-1)^j) its null space, the first equation
-gives μ = λ D⁺ W γ + N (a, b) once Nᵀ W γ = 0.  In x = (γ, a, b) that
-is the pencil
+μ = Im f(η(t)) and W = diag|η'|.  On the grid μ = E γ, so the problem
+is D E γ = λ W γ.  D E is the DtN operator's quadratic form
+(∫ v ∂u/∂n ds = ∫ ∇u·∇v dx), so it is symmetric up to the
+discretization error; W is positive definite.
 
-    A x = λ M x,   A = [[C, (I - B) N], [Nᵀ W, 0]],   M = [[-(I - B) D⁺ W, 0], [0, 0]],
+Coordinates.  x is the interleaved (re, im) view of rfft(γ), scaled to
+an orthonormal basis: by √(2/n) on the bins 0 < p < n/2 and by √(1/n)
+on the constant and the Nyquist bin (whose imaginary slots are zero).
+There:
 
-whose eigenvalues are the nonzero ones of Q = P D E, P = diag(1/|η'|),
-without Q's double zero (the constant and the spurious Nyquist mode).
-Shift-invert Arnoldi at 0 runs on A^{-1} M.  Neither A, E nor Q is
-formed: B and C̃ = C + K enter through their Fourier band
-(`operators.kernel_band`), and A through the LU of its band block
-(`operators.build_band_pencil`).  One Arnoldi step is an rfft of W x,
-the band of B (an m × m product), -K̂ = i on the bins outside the band,
-one solve with the band block's factors and an irfft: O(n log n + m²).
-Dense products go through scipy's BLAS, the one that owns the factors,
-so an Arnoldi step stays on one OpenBLAS thread pool (see
-`steklov.densela`).
+* D K = diag|p|, which on the disk (E = K) is the whole problem;
+* E - K lives on the kernels' band |p|, |q| <= L
+  (`operators.conjugation_system`, one m-square LU), so
+  S = D E = diag|p| + D (Ê - K̂) differs from diag|p| in one block;
+* W is the Toeplitz-plus-Hankel matrix of the Fourier coefficients
+  of |η'| on the grid.
 
-μ comes out of each eigenvector.  The residual ||(I - B) μ_j + C γ_j||_2
-applies B and C̃ through every coefficient of the kernel sample, not
-only the band, so it is the grid operator's to the sample's rounding
-floor.  `SteklovSpectrum` records the band size m, the sample size m'
-and the band tail; they are diagnostics, not warnings (a grid just
-below the band, like the kite at n = 160, is resolved).
+The solve is Rayleigh–Ritz on the trigonometric polynomials of degree
+<= P: the leading blocks S_P and W_P.  D has no constant in its range,
+so every eigenvector of a nonzero eigenvalue satisfies (W x)_0 = 0; the
+constant's coordinate is eliminated through that constraint (and at
+P = n/2 the Nyquist bin's through (W x)_{n/2} = 0), which removes the
+two zero eigenvalues of the grid problem wherever they fall in its
+spectrum.  One `scipy.linalg.eigh` of the symmetric part of the reduced
+S_P against the reduced W_P gives the k eigenpairs of least modulus
+(`densela.smallest_magnitude_eigs`).  On a resolved grid S_P is
+positive definite, they are the k lowest, and the Ritz values decrease
+to the grid's as P grows.
+
+P is derived.  It starts at 2(k + 2) and grows until the Ritz vectors'
+derivative p·x_p, extrapolated beyond P from its tails beyond 3P/4 and
+P/2, has relative norm <= √ε: its energy there is then at rounding, so
+the eigenvalues' truncation error stays below the eigensolver's and the
+traces are good to their derivatives (`eigenvalue_derivatives`).  Each
+step goes to the degree at which the tails' geometric decay predicts
+that bound.  P is capped at n/2, where the reduced problem is the grid
+problem itself.  `SteklovSpectrum` records P and the symmetry defect
+‖S - Sᵀ‖_F / ‖S‖_F of the reduced S_P; both are diagnostics, not
+warnings.
+
+Traces are the irfft of the Ritz vectors zero-padded to n, and the
+conjugates are μ̂ = K̂ γ̂ + (Ê - K̂) γ̂.  The residual
+||(I - B) μ_j + C γ_j||_2 applies B and C̃ through every coefficient of
+the kernel sample, not only the band, so it is the grid operator's to
+the sample's rounding floor.  `SteklovSpectrum` also records the band
+size m, the sample size m' and the band tail (a grid just below the
+band, like the kite at n = 160, is resolved).
 
 Traces are normalized to (2π/n) Σ_j |η'(t_j)| γ(t_j)² = 1 with the
 largest-magnitude component positive.  A trace tail (Fourier energy in
@@ -42,20 +63,19 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, eigh
-from scipy.sparse.linalg import LinearOperator
+from scipy.linalg import blas, eigh, solve
 
-from .curves import BoundaryCurve, DomainKind, Grid
+from .curves import BoundaryCurve, DomainKind, Grid, build_grid
 from .densela import smallest_magnitude_eigs
 from .operators import (
-    BandPencil,
     DiscretizationError,
     DtnDiscretization,
+    KernelBand,
     apply_diff_fast,
-    build_band_pencil,
     build_dtn,  # noqa: F401  (kept importable here: perfbench traces it by this name)
-    diff_multiplier,
+    conjugation_system,
     fourier_diff_matrix,  # noqa: F401  (kept importable here: perfbench traces it by this name)
+    kernel_band,
 )
 
 __all__ = [
@@ -72,6 +92,9 @@ __all__ = [
 TRACE_TAIL_WARN = 1e-5
 # Consecutive eigenvalues closer than this, relative, form a degenerate pair.
 _DEGENERATE_GAP = 1e-10
+# Largest relative energy of a Ritz vector in its outer quarter of degrees
+# at which P stops growing: √ε, so that P·tail² stays below ε·P.
+_RITZ_TAIL = float(np.sqrt(np.finfo(float).eps))
 
 
 class UnderResolvedWarning(UserWarning):
@@ -91,7 +114,7 @@ class SteklovSpectrum:
     traces : ndarray, shape (n, k)
         Boundary traces γ_j(t), arclength-normalized, sign-fixed.
     conjugates : ndarray, shape (n, k)
-        Harmonic conjugates μ_j = E γ_j, recovered from the pencil.
+        Harmonic conjugates μ_j = E γ_j, from K and E - K on the band.
     residuals : ndarray, shape (k,)
         ||(I - B) μ_j + C γ_j||_2 per mode, with B and C̃ applied
         through the whole kernel sample.
@@ -107,6 +130,10 @@ class SteklovSpectrum:
         The largest real or imaginary part of a kernel coefficient in
         the sample's outer quarter:
         at the rounding floor unless m' reached n first.
+    degree : int
+        The degree P of the Rayleigh–Ritz space, at most n/2.
+    symmetry_defect : float
+        ‖S - Sᵀ‖_F / ‖S‖_F of the reduced S_P, before symmetrization.
     """
 
     curve: BoundaryCurve
@@ -124,6 +151,8 @@ class SteklovSpectrum:
     band_size: int
     sample_size: int
     band_tail: float
+    degree: int
+    symmetry_defect: float
 
     @property
     def bounded(self) -> bool:
@@ -152,34 +181,54 @@ def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
     Raises
     ------
     DiscretizationError
-        If the pencil is singular or an eigenvalue is not positive; the
-        discretization is then unresolved and n should be raised.
+        If the band's I - B is singular or an eigenvalue is not
+        positive; the discretization is then unresolved and n should be
+        raised.
+    EigenSolveError
+        If the symmetric-definite eigensolve fails.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k + 2 > n // 2:
         raise ValueError(f"k + 2 = {k + 2} eigenpairs exceed the resolvable band n/2 = {n // 2}")
 
-    pencil = build_band_pencil(curve, n)
-    grid = pencil.grid
-    pairs = smallest_magnitude_eigs(_shift_invert(pencil), k, border=2)
-    order = np.argsort(pairs.values.real, kind="stable")
-    lam = pairs.values.real[order]
-    vectors = pairs.vectors[:, order]
+    grid = build_grid(curve, n)
+    band = kernel_band(curve, grid)
+    factors, rhs = conjugation_system(band)
+    g = s = np.empty((rhs.shape[0], 0))  # the leading columns of Ê - K̂ solved for so far
+    speed_hat = np.fft.fft(grid.speed) / n
+    degree = min(2 * (k + 2), n // 2)
+    while True:
+        done, columns = g.shape[1], min(rhs.shape[1], 2 * degree + 2)
+        if done < columns:
+            new = -factors.solve(rhs[:, done:columns])
+            g, s = np.hstack((g, new)), np.hstack((s, _dtn_band(new, n, done)))
+        lam, x, defect = _ritz(s, speed_hat, degree, k)
+        half, outer = _derivative_tails(x, degree)
+        if degree == n // 2 or outer**2 <= _RITZ_TAIL * half:  # the tail beyond P, extrapolated
+            break
+        degree = _next_degree(degree, half, outer, n)
     if lam[0] <= 0.0:
         raise DiscretizationError(f"non-positive eigenvalue {lam[0]:.3g} at n={n}; increase n")
 
+    # rfft(γ_j) in row j: x divided by the basis scale, zero-padded to n
+    gamma_hat = np.zeros((k, n // 2 + 1), dtype=complex)
+    gamma_hat.view(float)[:, : x.shape[0]] = (x / _basis_scale(degree, n)[:, None]).T
+    traces = np.fft.irfft(gamma_hat, n, axis=1).T
     weights = (2.0 * np.pi / n) * grid.speed
-    vectors = vectors / np.sqrt(np.sum(weights[:, None] * vectors[:n] ** 2, axis=0))
-    peak = vectors[np.argmax(np.abs(vectors[:n]), axis=0), np.arange(k)]
-    vectors[:, peak < 0.0] *= -1.0
-    traces = vectors[:n]
-    alt = (-1.0) ** np.arange(n)
-    conjugates = apply_diff_fast(grid.speed[:, None] * traces, pinv=True) * lam
-    conjugates += vectors[n] + np.outer(alt, vectors[n + 1])
-    traces_hat = np.ascontiguousarray(np.fft.rfft(traces.T, axis=1))
-    residuals = _residuals(pencil, traces_hat, conjugates)
-    energy = np.abs(traces_hat) ** 2
+    scale = 1.0 / np.sqrt(np.sum(weights[:, None] * traces**2, axis=0))
+    peak = traces[np.argmax(np.abs(traces), axis=0), np.arange(k)]
+    scale[peak < 0.0] *= -1.0
+    traces = np.ascontiguousarray(traces * scale)
+    gamma_hat *= scale[:, None]
+    # μ̂ = K̂ γ̂ + (Ê - K̂) γ̂, with K̂ = -i on the bins 0 < p < n/2
+    mu_hat = -1j * gamma_hat
+    mu_hat[:, [0, n // 2]] = 0.0
+    nb, columns = g.shape
+    mu_hat.view(float)[:, :nb] += blas.dgemm(1.0, gamma_hat.view(float)[:, :columns], g, trans_b=1)
+    conjugates = np.ascontiguousarray(np.fft.irfft(mu_hat, n, axis=1).T)
+    residuals = _residuals(band, gamma_hat, mu_hat, n)
+    energy = np.abs(gamma_hat) ** 2
     tail = np.sqrt(np.sum(energy[:, (3 * n + 7) // 8 :], axis=1) / np.sum(energy, axis=1))
     if np.max(tail) > TRACE_TAIL_WARN:
         warnings.warn(
@@ -205,65 +254,142 @@ def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
         trace_tail=tail,
         perimeter=grid.perimeter,
         area=area,
-        band_size=pencil.band.size,
-        sample_size=pencil.band.sample_n,
-        band_tail=pencil.band.tail,
+        band_size=band.size,
+        sample_size=band.sample_n,
+        band_tail=band.tail,
+        degree=degree,
+        symmetry_defect=defect,
     )
 
 
-def _shift_invert(pencil: BandPencil) -> LinearOperator:
-    """x -> A⁻¹ M x for the pencil of `pencil`, in O(n log n + m²) per call.
+def _derivative_tails(x: np.ndarray, degree: int) -> tuple[float, float]:
+    """The largest relative norm, over the Ritz vectors, of p·x_p beyond degrees P/2 and 3P/4.
 
-    With g = D⁺ W γ the right-hand side is F = -(I - B) g: -ĝ plus the
-    band of B times ĝ.  Outside the band A acts as -K̂ = i, so there
-    Γ = F / i = i ĝ.  The band block gets F on its bins and, in its two
-    constraint rows, -Nᵀ W of the Γ just found outside; its solution
-    fills the band's bins and the border unknowns n a and n b.
+    p·x_p are the coefficients of γ' (rows 2p and 2p + 1 of x are bin p).
     """
-    grid, band, factors = pencil.grid, pencil.band, pencil.factors
-    n = grid.n
-    nb = band.b_band.shape[0]
-    inner = min(nb, n)
-    rows_out = np.asfortranarray(pencil.rows[:, inner:n])
-    speed, b_band = grid.speed, np.asfortranarray(band.b_band)
-    # D⁺, times -1 on the band (F = -ĝ + B ĝ) and times i outside it (Γ = i ĝ)
-    mult = diff_multiplier(n, pinv=True)
-    mult[: nb // 2] *= -1.0
-    mult[nb // 2 :] *= 1j
-    slots = np.r_[0:inner, n, n + 1]  # the band block's unknowns in the rfft view
-    border = np.array([1, n + 1])  # n a and n b
-    wx = np.empty(n)
-    out = np.empty(n + 2)  # ARPACK copies it, so each call may overwrite it
-
-    def apply(x):
-        f = np.fft.rfft(np.multiply(speed, x[:n], out=wx))
-        f *= mult
-        fv = f.view(float)
-        band_part = fv[:nb]
-        band_part -= blas.dgemv(1.0, b_band, band_part)
-        rhs = fv[slots]
-        if inner < n:
-            rhs[[1, -1]] = blas.dgemv(-1.0, rows_out, fv[inner:n])
-        fv[slots] = factors.solve(rhs)
-        out[n:] = fv[border] / n
-        fv[border] = 0.0
-        out[:n] = np.fft.irfft(f, n)
-        return out
-
-    return LinearOperator((n + 2, n + 2), matvec=apply, dtype=float)
+    weighted = (np.arange(x.shape[0]) // 2)[:, None] * x
+    energy = np.cumsum(weighted[::-1] ** 2, axis=0)[::-1]  # row i: the energy in rows >= i
+    rows = [2 * (degree // 2), 2 * ((3 * degree + 3) // 4)]
+    half, outer = np.sqrt(np.max(energy[rows] / energy[0], axis=1))
+    return float(half), float(outer)
 
 
-def _residuals(pencil: BandPencil, gamma_hat: np.ndarray, conjugates: np.ndarray) -> np.ndarray:
+def _next_degree(degree: int, half: float, outer: float, n: int) -> int:
+    """The degree at which the tails of `_derivative_tails` reach _RITZ_TAIL.
+
+    The prediction continues their geometric decay from P/2 to 3P/4.
+    The decay slows as the degree grows, so the prediction falls short:
+    the step is a quarter longer than predicted, at least P/4 (a
+    prediction just short of the target would creep up a degree at a
+    time) and at most P (a degree too low to see the decay doubles).
+    The degree is at most n/2.
+    """
+    step = float(degree)
+    if half > outer:
+        quarters = np.log(outer / _RITZ_TAIL) / np.log(half / outer) - 1.0
+        step = min(step, max(degree / 4.0, 1.25 * quarters * degree / 4.0))
+    return min(degree + int(np.ceil(step)), n // 2)
+
+
+def _basis_scale(degree: int, n: int) -> np.ndarray:
+    """x / rfft(γ).view(float) on the degrees <= `degree`.
+
+    √(2/n), and √(1/n) on the constant and the Nyquist bin.
+    """
+    r = np.full(2 * degree + 2, np.sqrt(2.0 / n))
+    r[:2] = np.sqrt(1.0 / n)
+    if 2 * degree == n:
+        r[-2:] = np.sqrt(1.0 / n)
+    return r
+
+
+def _dtn_band(g: np.ndarray, n: int, first: int = 0) -> np.ndarray:
+    """D (Ê - K̂) in the orthonormal coordinates, for columns `first`, ... of Ê - K̂ in `g`.
+
+    D maps (re, im) of bin p to (-p im, p re), and is zero on the
+    constant and the Nyquist bin.
+    """
+    nb = g.shape[0]
+    p = np.arange(1, min(nb // 2, n // 2))
+    s = np.zeros_like(g)
+    s[2 * p] = -p[:, None] * g[2 * p + 1]
+    s[2 * p + 1] = p[:, None] * g[2 * p]
+    r = _basis_scale(nb // 2 - 1, n)
+    return s * r[:, None] / r[first : first + g.shape[1]]
+
+
+def _weight_matrix(speed_hat: np.ndarray, degree: int) -> np.ndarray:
+    """W = diag|η'| on the degrees <= `degree`, in the orthonormal coordinates.
+
+    With a_d = speed_hat[d mod n], the grid's Fourier coefficients of |η'|
+    over n, the (re, im) blocks of bins p, q are Re a_{p-q} ± Re a_{p+q}
+    and ∓Im a_{p-q} + Im a_{p+q} (Toeplitz plus Hankel), times 1/√2 on
+    the constant's and the Nyquist bin's rows and columns.
+    """
+    n = speed_hat.size
+    p = np.arange(degree + 1)
+    diff = speed_hat[np.subtract.outer(p, p) % n]
+    total = speed_hat[np.add.outer(p, p) % n]
+    edge = np.ones(degree + 1)
+    edge[0] = np.sqrt(0.5)
+    if 2 * degree == n:
+        edge[-1] = np.sqrt(0.5)
+    edge = np.outer(edge, edge)
+    w = np.empty((2 * degree + 2, 2 * degree + 2))
+    w[0::2, 0::2] = edge * (diff.real + total.real)
+    w[1::2, 1::2] = edge * (diff.real - total.real)
+    w[0::2, 1::2] = edge * (total.imag - diff.imag)
+    w[1::2, 0::2] = edge * (total.imag + diff.imag)
+    return w
+
+
+def _ritz(s: np.ndarray, speed_hat: np.ndarray, degree: int, k: int):
+    """Rayleigh–Ritz for S x = λ W x on the degrees <= `degree`: (λ, x, symmetry defect).
+
+    `s` is `_dtn_band`'s block and `speed_hat` the grid's DFT of |η'|
+    over n; x has 2·degree + 2 rows in the orthonormal coordinates.  The
+    imaginary slots of the constant (and of the Nyquist bin at
+    degree n/2) are zero; the real ones are fixed by (W x) = 0 there,
+    x_fixed = Z x_free.  Rows `fixed` of S vanish, so the reduced S is
+    S_ff + S_fc Z, and the reduced W is the Schur complement.
+    """
+    n = speed_hat.size
+    size = 2 * degree + 2
+    a = np.zeros((size, size))
+    m = min(size, s.shape[0])
+    a[:m, :m] = s[:m, :m]
+    p = np.arange(1, min(degree + 1, n // 2))
+    a[2 * p, 2 * p] += p
+    a[2 * p + 1, 2 * p + 1] += p
+    w = _weight_matrix(speed_hat, degree)
+    nyquist = 2 * degree == n
+    fixed = [0, size - 2] if nyquist else [0]
+    free = slice(2, size - 2 if nyquist else size)
+    z = -solve(w[np.ix_(fixed, fixed)], w[fixed, free])
+    w_red, s_red = w[free, free].copy(), a[free, free].copy()
+    for j, row in zip(fixed, z):  # one or two outer products, kept off numpy's BLAS
+        w_red += np.multiply.outer(w[free, j], row)
+        s_red += np.multiply.outer(a[free, j], row)
+    # the Frobenius norms without np.linalg.norm, which calls numpy's BLAS
+    defect = np.sqrt(np.sum((s_red - s_red.T) ** 2) / np.sum(s_red**2))
+    lam, y = smallest_magnitude_eigs(0.5 * (s_red + s_red.T), w_red, k)
+    x = np.zeros((size, k))
+    x[free] = y
+    x[fixed] = blas.dgemm(1.0, z, y)
+    return lam, x, float(defect)
+
+
+def _residuals(band: KernelBand, gamma_hat: np.ndarray, mu_hat: np.ndarray, n: int) -> np.ndarray:
     """||(I - B) μ_j + C γ_j||_2 per mode, C = -K + C̃, with B and C̃ from the whole sample.
 
-    `gamma_hat` is rfft(γ_j) in row j, row-major.  B and C̃ act on the interleaved
-    (re, im) view of the bins the sample carries; beyond them they are zero.
+    `gamma_hat` and `mu_hat` hold rfft(γ_j) and rfft(μ_j) in row j.  B
+    and C̃ act on the interleaved (re, im) view of the bins the sample
+    carries; beyond them they are zero.
     """
-    n, band = pencil.grid.n, pencil.band
     s = band.b_sample.shape[0]
-    r = np.ascontiguousarray(np.fft.rfft(conjugates.T, axis=1))
+    r = mu_hat.copy()
     rv = r.view(float)
-    rv[:, :s] -= blas.dgemm(1.0, rv[:, :s], band.b_sample, trans_b=1)
+    rv[:, :s] -= blas.dgemm(1.0, mu_hat.view(float)[:, :s], band.b_sample, trans_b=1)
     rv[:, :s] += blas.dgemm(1.0, gamma_hat.view(float)[:, :s], band.c_sample, trans_b=1)
     r[:, 1 : n // 2] += 1j * gamma_hat[:, 1 : n // 2]  # -K γ
     return np.linalg.norm(np.fft.irfft(r, n, axis=1), axis=1)
@@ -297,9 +423,10 @@ def eigenvalue_derivatives(spectrum: SteklovSpectrum, velocity) -> np.ndarray:
 
     Only pairs inside the solve are seen.  When k cuts a degenerate pair
     in half, the last mode gets the one-mode formula, whose value depends
-    on the vector ARPACK picked in the eigenspace (on the disk with k = 1
-    and V = i sin t it reads -1.2486 against the branch value -1.25);
-    solve k + 1 modes when the last one may be half of a pair.
+    on the vector `eigh` returns in the eigenspace: anything between the
+    two branch values (on the disk with k = 1 and V = i sin t, between
+    -1.25 and 0.25; the vector returned there is cos t, which reads
+    -1.25).  Solve k + 1 modes when the last one may be half of a pair.
 
     Raises ValueError if `velocity` does not have shape (n,).
     """

@@ -6,11 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackError
+import scipy.linalg
 
 import steklov
 import steklov.cli
-import steklov.densela
 import steklov.operators
 import steklov.spectrum
 from steklov.cli import fmt, main, write_csv, write_field_csvs
@@ -140,16 +139,16 @@ def test_singular_pencil_is_solver_error(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(steklov.operators, "lu_factor", singular)
     code = run_cli(["solve", "--curve", "disk", "--n", "32", "--k", "2", "--output", str(tmp_path)])
-    assert factored == [(4, 4)]  # the capacitance block: the disk's band is the constant
+    assert factored == [(2, 2)]  # the band's I - B̂: the disk's band is the constant
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "DiscretizationError"
 
 
 def test_arpack_error_is_solver_error(tmp_path, capsys, monkeypatch):
-    def zero_start(*args, **kwargs):
-        raise ArpackError(-9)
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("the eigenvectors failed to converge")
 
-    monkeypatch.setattr(steklov.densela, "_arpack_eigs", zero_start)
+    monkeypatch.setattr(scipy.linalg, "eigh", no_convergence)
     code = run_cli(["solve", "--curve", "disk", "--n", "32", "--k", "2", "--output", str(tmp_path)])
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "EigenSolveError"

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import tracemalloc
 import warnings
@@ -6,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.linalg.blas
 
 import steklov.densela
@@ -13,12 +13,14 @@ import steklov.operators
 import steklov.spectrum
 from generated_curves import trig_curve
 from steklov import BoundaryCurve, DomainKind, builtin_families, make_builtin, scale_to_perimeter
-from steklov.densela import smallest_magnitude_eigs
+from steklov.curves import build_grid
 from steklov.operators import (
     DiscretizationError,
     apply_diff_fast,
     build_dtn,
+    conjugation_system,
     fourier_diff_matrix,
+    kernel_band,
     wittich_matrix,
 )
 from steklov.spectrum import (
@@ -100,30 +102,13 @@ def test_disk_spectrum_small_grid(disk):
 @pytest.mark.parametrize("kind", [BOUNDED, EXTERIOR])
 @pytest.mark.parametrize("n", [6, 12])
 def test_disk_where_a_constant_start_vector_is_annihilated(kind, n):
-    # |η'| is constant, so M·1 = 0 exactly; Arnoldi must not start from 1
+    # |η'| is constant, so W·1 has no content off the constant; on the
+    # smallest grids and for every admissible k, the eliminated constant
+    # and Nyquist coordinates leave exactly the disk's spectrum
     disk = make_builtin("disk", kind=kind)
     for k in range(1, n // 2 - 1):
         spec = solve_spectrum(disk, n, k)
         assert np.max(np.abs(spec.lambdas - DISK_FIRST_TEN[:k])) <= 1e-12
-
-
-def test_start_vector_has_content_in_every_reflection_class(monkeypatch):
-    start = []
-    arpack = steklov.densela._arpack_eigs
-
-    def recording(*args, **kwargs):
-        start.append(kwargs["v0"])
-        return arpack(*args, **kwargs)
-
-    monkeypatch.setattr(steklov.densela, "_arpack_eigs", recording)
-    n = 256
-    solve_spectrum(make_builtin("ellipse", {"r": 2.0}), n, 4)
-    v = start[0][:n]
-    j = np.arange(n)
-    for s in (0, n // 2):  # the ellipse's grid reflections j -> s - j, about its two axes
-        mirrored = v[(s - j) % n]
-        for part in (v + mirrored, v - mirrored):
-            assert np.linalg.norm(part / 2.0) >= 0.1 * np.linalg.norm(v)
 
 
 def test_trace_normalization_and_sign(disk):
@@ -160,7 +145,7 @@ def test_factor_residuals_match_explicit_operators(family, kind, n):
 
 
 def test_solve_peak_memory_is_two_matrices(kite_bounded):
-    # the kernel sample, its coefficients and ARPACK's basis are the largest
+    # the kernel sample, its coefficients and the band's LU are the largest
     # arrays; together they stay below one n-square float array
     n = 2048
     solve_spectrum(kite_bounded, 128, 10)  # warm up imports and caches
@@ -196,71 +181,92 @@ def test_one_factorization_and_neither_e_nor_q(kite_bounded, monkeypatch):
     monkeypatch.setattr(steklov.spectrum, "assemble_q", forbidden)
     spec = solve_spectrum(kite_bounded, 1024, 6)
     assert len(shapes) == 1
-    assert shapes[0][0] == shapes[0][1] <= spec.band_size + 4 < 1024
-    assert set(rhs_ndims) == {1}  # Arnoldi steps only; no matrix solve
+    assert shapes[0][0] == shapes[0][1] <= spec.band_size + 1 < 1024  # the band's I - B̂
+    assert set(rhs_ndims) == {2}  # columns of Ê - K̂ only
 
 
 def test_b_and_the_factors_share_one_blas_runtime(kite_bounded, monkeypatch):
-    # numpy's @ would run on numpy's OpenBLAS thread pool, the solves on scipy's
-    gemv, gemm = scipy.linalg.blas.dgemv, scipy.linalg.blas.dgemm
-    solve = steklov.densela.LUFactors.solve
-    gemv_args, gemm_calls, vector_solves = [], [], []
+    # numpy's @ would run on numpy's OpenBLAS thread pool, the factors' solves on scipy's
+    gemm = scipy.linalg.blas.dgemm
+    operands, bands = [], []
 
-    def counting_gemv(alpha, a, x, *args, **kwargs):
-        gemv_args.append(a)
-        return gemv(alpha, a, x, *args, **kwargs)
-
-    def counting_gemm(alpha, a, b, *args, **kwargs):
-        gemm_calls.append(a.shape)
+    def recording_gemm(alpha, a, b, *args, **kwargs):
+        operands.append(b)
         return gemm(alpha, a, b, *args, **kwargs)
 
-    def counting_solve(self, b):
-        vector_solves.append(np.ndim(b) == 1)
-        return solve(self, b)
+    def recording_band(*args):
+        bands.append(kernel_band(*args))
+        return bands[-1]
 
-    monkeypatch.setattr(scipy.linalg.blas, "dgemv", counting_gemv)
-    monkeypatch.setattr(scipy.linalg.blas, "dgemm", counting_gemm)
-    monkeypatch.setattr(steklov.densela.LUFactors, "solve", counting_solve)
+    monkeypatch.setattr(scipy.linalg.blas, "dgemm", recording_gemm)
+    monkeypatch.setattr(steklov.spectrum, "kernel_band", recording_band)
     spec = solve_spectrum(kite_bounded, 512, 6)
-    steps = sum(vector_solves)
-    assert steps == len(vector_solves) > 0
-    band = [a for a in gemv_args if a.shape[0] == a.shape[1]]
-    assert len(band) == steps and all(a is band[0] for a in band)  # B's band, once per step
-    assert band[0].shape[0] == spec.band_size + 1
-    assert len(gemv_args) == 2 * steps  # and Nᵀ W outside the band
-    assert len(gemm_calls) == 2  # the residual's B and C̃, from the whole sample
+    band = bands[0]
+    # the residual's B and C̃, from the whole sample
+    assert [b is band.b_sample for b in operands].count(True) == 1
+    assert [b is band.c_sample for b in operands].count(True) == 1
+    # and the conjugates' Ê - K̂, on the band's rows and the Ritz space's columns
+    blocks = [b for b in operands if b.shape[0] == spec.band_size + 1 and b is not band.b_sample]
+    assert len(blocks) == 1 and blocks[0].shape[1] == min(spec.band_size + 1, 2 * spec.degree + 2)
 
 
-def _dense_pencil(curve, n):
-    """The (n+2)-square A and M of the pencil, from the grid's own B and C."""
+def _orthonormal_fourier(m, axis):
+    """`m` in the solver's orthonormal coordinates along `axis`: interleaved rfft, scaled."""
+    n = m.shape[axis]
+    f = np.moveaxis(np.fft.rfft(m, axis=axis), axis, 0)
+    out = np.empty((n + 2,) + f.shape[1:])
+    out[0::2], out[1::2] = f.real, f.imag
+    out *= steklov.spectrum._basis_scale(n // 2, n).reshape((-1,) + (1,) * (m.ndim - 1))
+    return np.moveaxis(np.delete(out, [1, n + 1], axis=0), 0, axis)  # Im of bins 0 and n/2
+
+
+def _fourier_form(curve, n):
+    """D E and W = diag|η'| of the grid in the orthonormal coordinates, from build_dtn."""
     disc = build_dtn(curve, n)
-    null = np.column_stack((np.ones(n), (-1.0) ** np.arange(n)))
-    i_minus_b = np.eye(n) - disc.B
-    a = np.block([[disc.C, i_minus_b @ null], [(null * disc.grid.speed[:, None]).T, np.zeros((2, 2))]])
-    dpinv_w = apply_diff_fast(np.diag(disc.grid.speed), pinv=True)
-    m = np.zeros((n + 2, n + 2))
-    m[:n, :n] = -i_minus_b @ dpinv_w
-    return a, m
+    s = _orthonormal_fourier(_orthonormal_fourier(apply_diff_fast(disc.E), 0), 1)
+    w = _orthonormal_fourier(_orthonormal_fourier(np.diag(disc.grid.speed), 0), 1)
+    return s, w
 
 
 @pytest.mark.parametrize("family", ["kite", "g2"])
 @pytest.mark.parametrize("n", [128, 512])
-def test_shift_invert_matches_the_dense_pencil(family, n, rng):
+def test_fourier_form_matches_the_dense_dtn(family, n):
     # kite and g2 resolve on 256 and 512 nodes: n = 128 is sampled whole,
     # the kite at n = 512 through a 256-node sample and its band
     curve = make_builtin(family)
-    apply = steklov.spectrum._shift_invert(steklov.operators.build_band_pencil(curve, n))
-    a, m = _dense_pencil(curve, n)
-    x = rng.standard_normal(n + 2)
-    ref = np.linalg.solve(a, m @ x)
-    assert np.max(np.abs(apply.matvec(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    grid = build_grid(curve, n)
+    factors, rhs = conjugation_system(kernel_band(curve, grid))
+    band = steklov.spectrum._dtn_band(-factors.solve(rhs), n)
+    s = np.zeros((n + 2, n + 2))
+    s[: band.shape[0], : band.shape[1]] = band
+    p = np.arange(1, n // 2)
+    s[2 * p, 2 * p] += p
+    s[2 * p + 1, 2 * p + 1] += p
+    s = np.delete(np.delete(s, [1, n + 1], axis=0), [1, n + 1], axis=1)
+    w = steklov.spectrum._weight_matrix(np.fft.fft(grid.speed) / n, n // 2)
+    w = np.delete(np.delete(w, [1, n + 1], axis=0), [1, n + 1], axis=1)
+    dense_s, dense_w = _fourier_form(curve, n)
+    assert np.max(np.abs(s - dense_s)) <= 1e-12 * np.max(np.abs(dense_s))
+    assert np.max(np.abs(w - dense_w)) <= 1e-13 * np.max(grid.speed)
 
 
 def _q_eigenvalues(curve, n, k):
-    """The k least nonzero eigenvalues of build_dtn's Q: Q + I has its zero pair at 1."""
-    q = assemble_q(build_dtn(curve, n))
-    values = np.sort(smallest_magnitude_eigs(q + np.eye(n), k + 2).values.real)
-    return values[2:] - 1.0
+    """The k nonzero eigenvalues of least modulus of Q = P D E in symmetric form, from build_dtn.
+
+    In orthonormal Fourier coordinates D E has zero rows at the constant
+    and the Nyquist bin.  Those coordinates are eliminated through
+    (W x) = 0 there, and the symmetric part of the reduced D E is solved
+    against the reduced W = diag|η'|, densely.
+    """
+    s, w = _fourier_form(curve, n)
+    fixed, free = [0, n - 1], slice(1, n - 1)
+    z = -np.linalg.solve(w[np.ix_(fixed, fixed)], w[fixed, free])
+    s_red = s[free, free] + s[free, fixed] @ z
+    w_red = w[free, free] + w[free, fixed] @ z
+    values = scipy.linalg.eigh(0.5 * (s_red + s_red.T), w_red, eigvals_only=True,
+                               subset_by_index=(0, k - 1))
+    assert values[0] > 0.0  # so the lowest are the least in modulus
+    return values
 
 
 _Q_GRIDS = [64, 128, 256, 512] + [pytest.param(n, marks=pytest.mark.slow) for n in (1024, 2048)]
@@ -301,8 +307,8 @@ def test_solve_records_its_band(kite_bounded):
 
 
 def test_k_may_cut_a_degenerate_pair(g1_curve):
-    # g1's eigenvalues come in pairs equal to ~1e-13 relative, which Arnoldi
-    # may return as complex-conjugate pairs; an odd k cuts one of them
+    # g1's eigenvalues come in pairs equal to ~1e-13 relative; an odd k
+    # cuts one of them
     full = solve_spectrum(g1_curve, 256, 4)
     for k in (1, 3):
         spec = solve_spectrum(g1_curve, 256, k)
@@ -335,24 +341,49 @@ def test_band_headroom_precondition(disk):
         solve_spectrum(disk, 32, 0)
 
 
-def test_arnoldi_path_matches_dense_path():
+def test_solve_matches_dense_q_on_resolved_grids():
     # Oracle: every eigenvalue of Q by dense QR, with the two of least
-    # modulus (the zero pair, which the pencil does not have) dropped;
-    # k = 6 includes the disk's double eigenvalues 1, 2, 3.
+    # modulus (the zero pair, which the solve eliminates) dropped; k = 6
+    # includes the disk's double eigenvalues 1, 2, 3.  The solve takes the
+    # symmetric part of D E, which is Q's own form once the grid resolves
+    # the curve; on coarser grids the two drift apart (g2 at n = 64: 1e-7).
     k = 6
     for family in builtin_families():
         for kind in DomainKind:
             curve = make_builtin(family, kind=kind)
-            for n in (32, 64, 256):
+            for n in (128, 256):
                 ev = np.linalg.eigvals(assemble_q(build_dtn(curve, n)))
                 ev = ev[np.argsort(np.abs(ev))][2 : k + 2]
                 dense = np.sort(ev.real)
-                # the coarse grids are deliberate, since both paths agree at any n; every
-                # family but the disk and the ellipse is flagged there
-                flagged = n < 256 and family not in ("disk", "ellipse")
-                with pytest.warns(UnderResolvedWarning) if flagged else contextlib.nullcontext():
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UnderResolvedWarning)  # g1 and g2 at n = 128
                     lam = solve_spectrum(curve, n, k).lambdas
                 assert np.max(np.abs(lam - dense) / dense) <= 1e-10, (family, kind, n)
+
+
+def test_symmetry_defect_is_at_rounding():
+    for family in builtin_families():
+        for kind in DomainKind:
+            spec = solve_spectrum(make_builtin(family, kind=kind), 512, 10)
+            assert spec.degree <= 256
+            assert spec.symmetry_defect <= 1e-13, (family, kind)
+
+
+@pytest.mark.parametrize("family, kind", [("kite", BOUNDED), ("g2", BOUNDED), ("g1", EXTERIOR)])
+def test_ritz_values_do_not_increase_with_the_degree(family, kind):
+    # Rayleigh–Ritz on nested spaces of trigonometric polynomials
+    n, k = 1024, 60
+    curve = make_builtin(family, kind=kind)
+    grid = build_grid(curve, n)
+    factors, rhs = conjugation_system(kernel_band(curve, grid))
+    s = steklov.spectrum._dtn_band(-factors.solve(rhs), n)
+    speed_hat = np.fft.fft(grid.speed) / n
+    previous = None
+    for degree in range(40, 257, 12):
+        lam = steklov.spectrum._ritz(s, speed_hat, degree, k)[0]
+        if previous is not None:
+            assert np.all(lam <= previous * (1.0 + 1e-12)), degree
+        previous = lam
 
 
 def test_spectrum_independent_of_alpha(g1_curve):

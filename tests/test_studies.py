@@ -256,20 +256,14 @@ def test_all_eight_crossings(k):
     assert result.gap <= 1e-6
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # importing scipy.optimize would add ~0.3 s to every `import steklov`
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.fft", "scipy.sparse"])
+def test_import_leaves_module_unloaded(module):
+    # each would add 0.03-0.3 s to every `import steklov`: the crossing search
+    # needs no optimizer, the FFTs come from numpy.fft, which numpy loads
+    # anyway, and the eigensolve is scipy.linalg's
     src = str(Path(steklov.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    code = "import sys, steklov; sys.exit(int('scipy.optimize' in sys.modules))"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
-
-
-def test_import_leaves_scipy_fft_unloaded():
-    # the band solve takes its FFTs from numpy.fft, which numpy loads anyway;
-    # importing scipy.fft would add ~0.1 s to every `import steklov`
-    src = str(Path(steklov.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    code = "import sys, steklov; sys.exit(int('scipy.fft' in sys.modules))"
+    code = f"import sys, steklov; sys.exit(int({module!r} in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
