@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.blas
+import scipy.sparse.linalg
 
 import steklov.densela
 import steklov.operators
@@ -251,12 +252,24 @@ def test_fourier_form_matches_the_dense_dtn(family, n):
 
 
 def _q_eigenvalues(curve, n, k):
-    """The k nonzero eigenvalues of least modulus of Q = P D E in symmetric form, from build_dtn.
+    """The k least nonzero eigenvalues of build_dtn's Q, by ARPACK on Q + I.
+
+    Q + I has its zero pair at 1, which shift-invert about 0 finds first.
+    """
+    q = assemble_q(build_dtn(curve, n))
+    start = np.random.default_rng(0).standard_normal(n)
+    values = scipy.sparse.linalg.eigs(q, k + 2, sigma=-1.0, v0=start, return_eigenvectors=False)
+    return np.sort(values.real)[2:]
+
+
+def _symmetric_q_eigenvalues(curve, n, k):
+    """The k least nonzero eigenvalues of the symmetric part of Q's form, from build_dtn.
 
     In orthonormal Fourier coordinates D E has zero rows at the constant
     and the Nyquist bin.  Those coordinates are eliminated through
     (W x) = 0 there, and the symmetric part of the reduced D E is solved
-    against the reduced W = diag|η'|, densely.
+    against the reduced W = diag|η'|, densely.  This is the problem the
+    solve discretizes at P = n/2, resolved or not.
     """
     s, w = _fourier_form(curve, n)
     fixed, free = [0, n - 1], slice(1, n - 1)
@@ -276,12 +289,15 @@ _Q_GRIDS = [64, 128, 256, 512] + [pytest.param(n, marks=pytest.mark.slow) for n 
 @pytest.mark.parametrize("kind", [BOUNDED, EXTERIOR])
 @pytest.mark.parametrize("family", builtin_families())
 def test_band_solve_agrees_with_dtn_q(family, kind, n):
-    # both discretize the same grid operator, resolved or not
+    # The solve takes the symmetric part of D E.  From n = 128 on, D E is
+    # symmetric to rounding and the solve has Q's eigenvalues; at n = 64
+    # the asymmetry moves them (g2 by 1e-7), so there the oracle is the
+    # symmetric part of Q's form.
     curve = make_builtin(family, kind=kind)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderResolvedWarning)
         lam = solve_spectrum(curve, n, 10).lambdas
-    ref = _q_eigenvalues(curve, n, 10)
+    ref = (_symmetric_q_eigenvalues if n == 64 else _q_eigenvalues)(curve, n, 10)
     assert np.max(np.abs(lam - ref) / ref) <= 1e-12
 
 
