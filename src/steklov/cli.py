@@ -323,6 +323,8 @@ def _cmd_modes(args, outdir: Path) -> int:
             data = np.loadtxt(args.points, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[0] == 0 or data.shape[1] < 2:
             raise ConfigError(f"--points file {args.points} needs x,y rows after its header")
+        if not np.all(np.isfinite(data[:, :2])):
+            raise ConfigError(f"--points file {args.points} holds a non-finite x or y")
     spec = _spectrum_for_modes(args, modes)
     if args.points:
         fields = eigenmode_field(spec, modes, data[:, 0] + 1j * data[:, 1])

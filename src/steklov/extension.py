@@ -21,21 +21,27 @@ where c = f(∞) is recovered from the boundary data by
 
 for any β strictly inside the bounded complement.
 
-Evaluation points must lie strictly inside the domain (winding number
-1 for bounded domains, 0 for exterior ones).  Accuracy of the
-quadrature degrades within ~one grid spacing of the boundary; samples
-closer than 2 (2π/n) max|η'| to the curve are flagged rather than
-silently returned, and anything within 1e-6 of the curve should not
-be trusted at all.  There the trapezoidal winding number is unreliable
-too, so the side is decided by the tangent at the nearest node (the
-domain lies to its left for both orientations).
+Evaluation points must be finite and lie strictly inside the domain.
+Accuracy of the quadrature degrades within ~one grid spacing of the
+boundary: samples closer than the margin 2 (2π/n) max|η'| to the
+nearest node are flagged rather than silently returned, and anything
+within 1e-6 of the curve should not be trusted at all.
 
-One pass serves every requested mode, over cache-sized blocks of
-`_BLOCK_ENTRIES` weights (64 points at n = 512).  Per block it builds
-w once and takes from it the winding number Re Σ_j w_j / (in), the
-near-boundary mask and the denominator Σ_j w_j; the Cauchy sums of each
-mode are taken only on the rows of kept points (inside and, for
-rasters, away from the boundary).
+Each point is classified once, before any Cauchy sum.  Near points are
+found by hashing the nodes into cells of the margin's size and looking
+only at the nodes in the cells around a point; the side of a near point
+is the tangent test at its nearest node (the domain lies to its left
+for both orientations).  Every other point lies at least 3/4 margin
+from the node polygon, whose edges are at most margin/2 long, so the
+parity of the crossings of its horizontal ray with that polygon decides
+its side (Hormann & Agathos, Comput. Geom. 20, 2001).  There it agrees
+with the true side and with the trapezoidal winding number.
+
+One pass then serves every requested mode, over cache-sized blocks of
+`_BLOCK_ENTRIES` weights (64 points at n = 512) that hold kept points
+only (inside and, for rasters, away from the boundary).  Per block it
+builds w once, takes from it the bounded rule's denominator Σ_j w_j,
+and each mode's numerator is one gemv.
 """
 
 from __future__ import annotations
@@ -117,49 +123,102 @@ class RasterField:
     flags: np.ndarray
 
 
-def _extend(
-    bfs: list[BoundaryFunction], z: np.ndarray, keep_near: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(inside, near, values) of boundary functions on one grid at points z.
+def _pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) for every i and every lo[i] <= j < hi[i]."""
+    counts = hi - lo
+    i = np.repeat(np.arange(len(lo)), counts)
+    return i, np.arange(len(i)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
 
-    ``values[i]`` extends ``bfs[i]`` to the inside points (without the
-    near ones unless ``keep_near``) and is NaN elsewhere.
+
+def _classify(grid: Grid, z: np.ndarray, bounded: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, near) of the points z, by the node cells and the crossing parity.
+
+    ``near`` marks a node closer than the margin; see the module docstring.
+
+    Raises
+    ------
+    ExtensionError
+        If a point is not finite.
+    """
+    finite = np.isfinite(z)
+    if not np.all(finite):
+        raise ExtensionError(f"point {z[~finite][0]} is not finite")
+    eta = grid.eta
+    margin = 2.0 * (2.0 * np.pi / grid.n) * float(np.max(grid.speed))
+    # Each node goes into its cell and the 8 around it, so a point finds every node
+    # closer than the margin in its own cell.  The cells are a hair wider than the
+    # margin, so rounding in a cell index loses no such node.  Keys are exact integers.
+    cell = margin * (1.0 + 1e-6)
+    x0, y0 = eta.real.min() - margin, eta.imag.min() - margin
+    x1, y1 = eta.real.max() + margin, eta.imag.max() + margin
+    width = np.floor((y1 - y0) / cell) + 3  # cells per column, with one beside each end
+    cx, cy = np.floor((eta.real - x0) / cell), np.floor((eta.imag - y0) / cell)
+    keys = np.concatenate([(cx + i) * width + cy + j for i in (0, 1, 2) for j in (0, 1, 2)])
+    order = np.argsort(keys, kind="stable")
+    keys, owner = keys[order], order % grid.n
+    # edges of the node polygon from their lower end a to their upper end b
+    succ = np.roll(eta, -1)
+    up = eta.imag > succ.imag
+    a, b = np.where(up, succ, eta), np.where(up, eta, succ)
+    d = b - a
+
+    inside = np.empty(z.shape, dtype=bool)
+    near = np.zeros(z.shape, dtype=bool)
+    chunk = max(1, _BLOCK_ENTRIES // 32)  # points per block: its temporaries stay below w's
+    for lo in range(0, len(z), chunk):
+        zc = z[lo : lo + chunk]
+        inside_c, near_c = inside[lo : lo + chunk], near[lo : lo + chunk]
+        box = np.flatnonzero((zc.real >= x0) & (zc.real <= x1) & (zc.imag >= y0) & (zc.imag <= y1))
+        zb = zc[box]
+        key = (np.floor((zb.real - x0) / cell) + 1) * width + np.floor((zb.imag - y0) / cell) + 1
+        pt, pos = _pairs(np.searchsorted(keys, key, "left"), np.searchsorted(keys, key, "right"))
+        node = owner[pos]
+        dist = np.abs(eta[node] - zb[pt])  # as |η_j - z| over all nodes would give
+        close = dist < margin
+        pt, node, dist = pt[close], node[close], dist[close]
+        first = np.lexsort((node, dist, pt))  # nearest node first, the lowest index on a tie
+        first = first[np.unique(pt[first], return_index=True)[1]]
+        jmin, hit = node[first], box[pt[first]]
+        near_c[hit] = True
+        inside_c[hit] = np.imag(np.conj(grid.eta1[jmin]) * (zc[hit] - eta[jmin])) > 0.0
+        # other points: crossings of the ray to +x with the edges whose half-open
+        # y-range [a, b) holds the point; a horizontal edge holds none
+        far = np.flatnonzero(~near_c)
+        far = far[np.argsort(zc[far].imag, kind="stable")]
+        ys = zc[far].imag
+        edge, pos = _pairs(np.searchsorted(ys, a.imag, "left"),
+                           np.searchsorted(ys, b.imag, "left"))
+        p, de = zc[far[pos]] - a[edge], d[edge]
+        odd = np.bincount(pos[de.real * p.imag > de.imag * p.real], minlength=len(far)) % 2 == 1
+        inside_c[far] = odd if bounded else ~odd
+    return inside, near
+
+
+def _extend(bfs: list[BoundaryFunction], z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Values of boundary functions on one grid at the points z[rows], NaN elsewhere.
+
+    ``values[i]`` extends ``bfs[i]``; every row must be strictly inside the domain.
     """
     grid = bfs[0].grid
     bounded = bfs[0].curve.kind is DomainKind.BOUNDED_INTERIOR
-    margin = 2.0 * (2.0 * np.pi / grid.n) * float(np.max(grid.speed))
-    inside = np.empty(z.shape, dtype=bool)
-    near = np.empty(z.shape, dtype=bool)
     values = np.full((len(bfs), len(z)), np.nan, dtype=complex)
-    chunk = max(1, min(len(z), _BLOCK_ENTRIES // grid.n))  # points per cache-sized block
-    # one buffer pair for every block: the differences become w in place
-    block, dist = np.empty((chunk, grid.n), dtype=complex), np.empty((chunk, grid.n))
-    for lo in range(0, len(z), chunk):
-        zc = z[lo : lo + chunk]
-        w = np.subtract(grid.eta, zc[:, None], out=block[: len(zc)])
-        jmin = np.argmin(np.abs(w, out=dist[: len(zc)]), axis=1)
-        near_c = dist[np.arange(len(zc)), jmin] < margin
+    chunk = max(1, min(len(rows), _BLOCK_ENTRIES // grid.n))  # points per cache-sized block
+    block = np.empty((chunk, grid.n), dtype=complex)  # one buffer: differences become w in place
+    for lo in range(0, len(rows), chunk):
+        rc = rows[lo : lo + chunk]
+        w = np.subtract(grid.eta, z[rc, None], out=block[: len(rc)])
         np.divide(grid.eta1, w, out=w)
-        total = w.sum(axis=1)
-        winding = np.real(total / (1j * grid.n))
-        left = np.imag(np.conj(grid.eta1[jmin]) * (zc - grid.eta[jmin])) > 0.0
-        inside_c = np.where(near_c, left, np.abs(winding - (1.0 if bounded else 0.0)) < 0.5)
-        inside[lo : lo + chunk] = inside_c
-        near[lo : lo + chunk] = near_c
-        rows = np.flatnonzero(inside_c if keep_near else inside_c & ~near_c)
-        if rows.size == 0:
-            continue  # zgemv rejects an empty matrix
-        kept = w[rows].T  # nodes x kept points: the products skip discarded points
+        total = w.sum(axis=1) if bounded else None
         # a gemv per function, as the columns of one BLAS product can change in the last
         # bit with their number and a mode must not depend on the others; zgemv even for
-        # one kept row, where matmul takes a dot product, so block size changes no bit
-        for out, bf in zip(values[:, lo : lo + chunk], bfs):
+        # one row, where matmul takes a dot product, so block size changes no bit
+        for out, bf in zip(values, bfs):
             if bounded:
-                out[rows] = zgemv(1.0, kept, bf.values, trans=1) / total[rows]
+                out[rc] = zgemv(1.0, w.T, bf.values, trans=1) / total
             else:
                 c = complex(bf.f_infinity)
-                out[rows] = c + zgemv(1.0, kept, bf.values - c, trans=1) / (1j * grid.n)
-    return inside, near, values
+                out[rc] = c + zgemv(1.0, w.T, bf.values - c, trans=1) / (1j * grid.n)
+    return values
 
 
 def cauchy_eval(bf: BoundaryFunction, z: np.ndarray) -> FieldSample:
@@ -168,8 +227,9 @@ def cauchy_eval(bf: BoundaryFunction, z: np.ndarray) -> FieldSample:
     Raises
     ------
     ExtensionError
-        If any point lies outside the domain (by winding number), or
-        if the exterior rule is invoked without ``f_infinity``.
+        If any point is not finite or lies outside the domain (by the
+        side test of the module docstring), or if the exterior rule is
+        invoked without ``f_infinity``.
     """
     return _samples([bf], z)[0]
 
@@ -178,9 +238,10 @@ def _samples(bfs: list[BoundaryFunction], z: np.ndarray) -> list[FieldSample]:
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if bfs[0].curve.kind is DomainKind.UNBOUNDED_EXTERIOR and bfs[0].f_infinity is None:
         raise ExtensionError("exterior evaluation requires f_infinity (see estimate_f_infinity)")
-    inside, near, values = _extend(bfs, z, keep_near=True)
+    inside, near = _classify(bfs[0].grid, z, bfs[0].curve.kind is DomainKind.BOUNDED_INTERIOR)
     if not np.all(inside):
         raise ExtensionError(f"point {z[~inside][0]} is not strictly inside the domain")
+    values = _extend(bfs, z, np.arange(len(z)))
     return [FieldSample(points=z, values=v, u=v.real, flags=near) for v in values]
 
 
@@ -262,7 +323,8 @@ def raster_field(
     y = np.linspace(ys_b.min() - dy, ys_b.max() + dy, nx)
     zz = (x[None, :] + 1j * y[:, None]).ravel()
 
-    inside, near, values = _extend(bfs, zz, keep_near=False)
+    inside, near = _classify(grid, zz, spectrum.curve.kind is DomainKind.BOUNDED_INTERIOR)
+    values = _extend(bfs, zz, np.flatnonzero(inside & ~near))
     flags = (inside & near).reshape(nx, nx)
     fields = [RasterField(x=x, y=y, u=v.real.reshape(nx, nx), flags=flags) for v in values]
     return fields if np.ndim(j) else fields[0]

@@ -272,7 +272,11 @@ def test_modes_with_points_file(tmp_path):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("text", ["x\n0.1\n", "x,y\n"], ids=["one-column", "header-only"])
+@pytest.mark.parametrize(
+    "text",
+    ["x\n0.1\n", "x,y\n", "x,y\n0.1,0.0\ninf,0\n", "x,y\nnan,0\n", "x,y\n0.1,-inf\n"],
+    ids=["one-column", "header-only", "inf-x", "nan-x", "minus-inf-y"],
+)
 def test_modes_malformed_points_file_is_config_error(tmp_path, capsys, monkeypatch, text):
     def no_solve(*args):
         raise AssertionError("solved before the points file was checked")

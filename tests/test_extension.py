@@ -1,10 +1,13 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import zgemv
 
 import steklov.extension
-from steklov import DomainKind, make_builtin, solve_spectrum
+from steklov import DomainKind, builtin_families, make_builtin, solve_spectrum
+from steklov.curves import Grid, build_grid
 from steklov.extension import (
     BoundaryFunction,
     ExtensionError,
@@ -14,6 +17,7 @@ from steklov.extension import (
     mode_boundary_function,
     raster_field,
 )
+from steklov.extension import _classify
 from steklov.operators import build_dtn
 
 
@@ -291,3 +295,156 @@ def test_raster_pass_memory_is_bounded(kite_bounded):
     assert peak <= 8 * 2**20
     alone = raster_field(spec, 3, 120)  # a mode does not depend on the others requested
     assert np.array_equal(alone.u, fields[2].u, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# Point classification
+# ---------------------------------------------------------------------------
+
+def direct_rule(grid, z, bounded, bfs=()):
+    """(inside, near, values) by the direct O(n)-per-point rule, in blocks of 64 points.
+
+    The side is the trapezoidal winding number Re Σ_j w_j / (in), except
+    for points closer than the margin to their nearest node (argmin of
+    |η_j - z|), which take the tangent test there.  ``values[i]`` is the
+    Cauchy rule for ``bfs[i]`` on every point of each block, kept or not.
+    """
+    margin = 2.0 * (2.0 * np.pi / grid.n) * float(np.max(grid.speed))
+    inside, near = np.empty(len(z), dtype=bool), np.empty(len(z), dtype=bool)
+    values = np.empty((len(bfs), len(z)), dtype=complex)
+    for lo in range(0, len(z), 64):
+        zc = z[lo : lo + 64]
+        with np.errstate(divide="ignore", invalid="ignore"):  # points on nodes, outside points
+            w = grid.eta - zc[:, None]
+            dist = np.abs(w)
+            jmin = np.argmin(dist, axis=1)
+            near_c = dist[np.arange(len(zc)), jmin] < margin
+            w = grid.eta1 / w
+            total = w.sum(axis=1)
+            winding = np.real(total / (1j * grid.n))
+            left = np.imag(np.conj(grid.eta1[jmin]) * (zc - grid.eta[jmin])) > 0.0
+            inside[lo : lo + 64] = np.where(near_c, left, np.abs(winding - bounded) < 0.5)
+            near[lo : lo + 64] = near_c
+            for out, bf in zip(values[:, lo : lo + 64], bfs):
+                if bounded:
+                    out[:] = zgemv(1.0, w.T, bf.values, trans=1) / total
+                else:
+                    c = complex(bf.f_infinity)
+                    out[:] = c + zgemv(1.0, w.T, bf.values - c, trans=1) / (1j * grid.n)
+    return inside, near, values
+
+
+def raster_points(grid, kind, nx):
+    """An nx x nx raster over the nodes' bounding box, padded as raster_field pads it."""
+    pad = 1.0 if kind is DomainKind.UNBOUNDED_EXTERIOR else 0.05
+    xs, ys = grid.eta.real, grid.eta.imag
+    dx, dy = (xs.max() - xs.min()) * pad, (ys.max() - ys.min()) * pad
+    x = np.linspace(xs.min() - dx, xs.max() + dx, nx)
+    y = np.linspace(ys.min() - dy, ys.max() + dy, nx)
+    return (x[None, :] + 1j * y[:, None]).ravel()
+
+
+def scattered_points(grid, kind):
+    """Random box points, node points, points level with nodes, far points, obstacle points."""
+    rng = np.random.default_rng(grid.n)
+    box = raster_points(grid, kind, 2)
+    x = rng.uniform(box.real.min(), box.real.max(), 300)
+    y = rng.uniform(box.imag.min(), box.imag.max(), 300)
+    level = rng.uniform(box.real.min(), box.real.max(), (grid.n // 4, 8))
+    level = level + 1j * grid.eta.imag[::4, None]  # level with every fourth node
+    center = np.mean(grid.eta)  # inside the obstacle of every builtin exterior
+    r = 0.05 * abs(box[-1] - box[0]) * np.sqrt(rng.uniform(0, 1, 40))
+    return np.concatenate([
+        x + 1j * y,
+        grid.eta[::3],
+        level.ravel(),
+        1e6 * np.exp(2j * np.pi * np.arange(8) / 8),
+        center + r * np.exp(2j * np.pi * rng.uniform(0, 1, 40)),
+    ])
+
+
+def assert_classify_matches_direct_rule(grid, z, kind):
+    bounded = kind is DomainKind.BOUNDED_INTERIOR
+    inside, near = _classify(grid, z, bounded)
+    expected_inside, expected_near, _ = direct_rule(grid, z, bounded)
+    assert np.array_equal(near, expected_near)
+    assert np.array_equal(inside, expected_inside)
+
+
+@pytest.mark.parametrize("kind", list(DomainKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+@pytest.mark.parametrize("family", builtin_families())
+def test_classify_matches_direct_rule_on_rasters(family, n, kind):
+    grid = build_grid(make_builtin(family, kind=kind), n)
+    for nx in (24, 60, 120):
+        assert_classify_matches_direct_rule(grid, raster_points(grid, kind, nx), kind)
+
+
+@pytest.mark.parametrize("kind", list(DomainKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("family", builtin_families())
+def test_classify_matches_direct_rule_on_scattered_points(family, n, kind):
+    grid = build_grid(make_builtin(family, kind=kind), n)
+    z = scattered_points(grid, kind)
+    assert_classify_matches_direct_rule(grid, z, kind)
+    inside, near = _classify(grid, z, kind is DomainKind.BOUNDED_INTERIOR)
+    on_nodes = np.isin(z, grid.eta)
+    assert np.all(near[on_nodes]) and not np.any(inside[on_nodes])
+    far = np.abs(z) == 1e6
+    assert np.all(inside[far] == (kind is DomainKind.UNBOUNDED_EXTERIOR))
+    inside, near = _classify(grid, np.array([], dtype=complex), True)
+    assert inside.shape == near.shape == (0,)
+
+
+def test_classify_counts_no_crossing_on_horizontal_edges():
+    # a circle on 8 nodes whose top and bottom edges are exactly horizontal; rays level
+    # with them pass through two nodes and along an edge, and must count no crossing
+    t = 2 * np.pi * np.arange(8) / 8
+    eta = np.exp(1j * (t + np.pi / 8))
+    eta[2], eta[5] = -eta[1].conjugate(), -eta[6].conjugate()
+    assert eta[1].imag == eta[2].imag and eta[5].imag == eta[6].imag
+    grid = Grid(n=8, t=t, eta=eta, eta1=1j * eta, speed=np.ones(8), rho=np.ones(8))
+    z = np.array([-3.0, -2.7, 2.7, 3.0]) + 1j * eta[[1, 1, 2, 5]].imag
+    inside, near = _classify(grid, z, bounded=True)
+    assert not np.any(near) and not np.any(inside)
+    assert_classify_matches_direct_rule(grid, z, DomainKind.BOUNDED_INTERIOR)
+
+
+@pytest.mark.parametrize("curve", ["kite_bounded", "kite_exterior"])
+def test_raster_values_match_full_blocks(curve, request, monkeypatch):
+    spec = solve_spectrum(request.getfixturevalue(curve), 512, 4)
+    modes = [1, 2, 3, 4]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape[1])
+        return zgemv(*args, **kwargs)
+
+    monkeypatch.setattr(steklov.extension, "zgemv", counted)
+    fields = raster_field(spec, modes, 120)
+    kept = np.isfinite(fields[0].u)
+    chunk = steklov.extension._BLOCK_ENTRIES // spec.n
+    # every block holds kept points only, and all but the last are full
+    assert len(calls) == len(modes) * math.ceil(kept.sum() / chunk)
+    assert sum(calls) == len(modes) * kept.sum()
+    z = (fields[0].x[None, :] + 1j * fields[0].y[:, None]).ravel()
+    bfs = [mode_boundary_function(spec, j) for j in modes]
+    bounded = spec.curve.kind is DomainKind.BOUNDED_INTERIOR
+    inside, near, values = direct_rule(spec.grid, z, bounded, bfs)
+    assert np.array_equal(kept.ravel(), inside & ~near)
+    for ras, v in zip(fields, values):
+        assert np.array_equal(ras.u.ravel()[kept.ravel()], v.real[kept.ravel()])
+
+
+@pytest.mark.parametrize("curve", ["kite_bounded", "kite_exterior"])
+@pytest.mark.parametrize(
+    "point",
+    [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.0, -np.inf), complex(-np.inf, np.nan)],
+    ids=["nan", "inf", "minus-inf-imag", "minus-inf-nan"],
+)
+def test_non_finite_point_rejected(curve, point, request):
+    spec = solve_spectrum(request.getfixturevalue(curve), 128, 2)
+    with pytest.raises(ExtensionError, match="not finite"):
+        eigenmode_field(spec, [1, 2], np.array([0.3 + 0.1j, point]))
+    with pytest.raises(ExtensionError, match="not finite"):
+        cauchy_eval(mode_boundary_function(spec, 1), np.array([point]))
