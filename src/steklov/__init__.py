@@ -32,7 +32,6 @@ from .extension import (
     FieldSample,
     cauchy_eval,
     eigenmode_field,
-    estimate_f_infinity,
     mode_boundary_function,
     raster_field,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "convergence_study",
     "curve_from_spec",
     "eigenmode_field",
-    "estimate_f_infinity",
     "find_crossing",
     "fourier_diff_matrix",
     "kernel_values",

@@ -2,46 +2,41 @@
 
 A computed mode gives boundary values f(η(t_j)) = γ_j + i μ_j of a
 function f analytic in the domain; the eigenfunction is u = Re f.
-Interior values come from the trapezoidal Cauchy integral.
+Domain values come from one trapezoidal Cauchy rule for both kinds,
+the compensated (barycentric) ratio
 
-Bounded domains use the compensated (normalized) rule
+    f(z) = Σ_j f_j w_j / Σ_j w_j,      w_j = a_j / (η(t_j) - z),
 
-    f(z) = Σ_j f_j w_j / Σ_j w_j,      w_j = η'(t_j) / (η(t_j) - z),
-
-which cancels the common quadrature error of numerator and
-denominator and keeps accuracy moderately close to the boundary.
-
-Exterior domains (clockwise parametrization) use
-
-    f(z) = c + (1/2πi) (2π/n) Σ_j (f_j - c) η'(t_j) / (η(t_j) - z),
-
-where c = f(∞) is recovered from the boundary data by
-
-    c = -(1/2πi) (2π/n) Σ_j f_j η'(t_j) / (η(t_j) - β)
-
-for any β strictly inside the bounded complement.
+whose numerator and denominator share their quadrature error, so the
+ratio stays accurate close to the boundary (Helsing & Ojala, J. Comput.
+Phys. 227, 2008).  Bounded domains take a_j = η'(t_j): the denominator
+is the Cauchy integral of 1.  Exterior domains take
+a_j = η'(t_j) / (η(t_j) - β), with β the node mean, which must lie
+inside the obstacle.  Then f(ζ) / ((ζ - z)(ζ - β)) is O(1/ζ²) at
+infinity and has no pole in the domain besides z, so the clockwise
+Cauchy integrals of it and of 1 / ((ζ - z)(ζ - β)) are f(z) / (z - β)
+and 1 / (z - β): their ratio is f(z), and f(∞) cancels.
 
 Evaluation points must be finite and lie strictly inside the domain.
-Accuracy of the quadrature degrades within ~one grid spacing of the
-boundary: samples closer than the margin 2 (2π/n) max|η'| to the
-nearest node are flagged rather than silently returned, and anything
-within 1e-6 of the curve should not be trusted at all.
-
-Each point is classified once, before any Cauchy sum.  Near points are
-found by hashing the nodes into cells of the margin's size and looking
-only at the nodes in the cells around a point; the side of a near point
-is the tangent test at its nearest node (the domain lies to its left
-for both orientations).  Every other point lies at least 3/4 margin
-from the node polygon, whose edges are at most margin/2 long, so the
-parity of the crossings of its horizontal ray with that polygon decides
-its side (Hormann & Agathos, Comput. Geom. 20, 2001).  There it agrees
-with the true side and with the trapezoidal winding number.
+Each point is classified once, before any Cauchy sum.  Near points,
+closer than the margin 2 (2π/n) max|η'| to a node, are found by hashing
+the nodes into cells of the margin's size and looking only at the nodes
+in the cells around a point; the side of a near point is the tangent
+test at its nearest node (the domain lies to its left for both
+orientations).  Every other point lies at least 3/4 margin from the
+node polygon, whose edges are at most margin/2 long, so the parity of
+the crossings of its horizontal ray with that polygon decides its side
+(Hormann & Agathos, Comput. Geom. 20, 2001).  There it agrees with the
+true side and with the trapezoidal winding number.  The ``flags`` of a
+sample mark exactly the near points, where the side is the tangent
+test, and rasters mask them; they do not mark where the rule loses
+accuracy.  Anything within 1e-6 of the curve should not be trusted.
 
 One pass then serves every requested mode, over cache-sized blocks of
 `_BLOCK_ENTRIES` weights (64 points at n = 512) that hold kept points
 only (inside and, for rasters, away from the boundary).  Per block it
-builds w once, takes from it the bounded rule's denominator Σ_j w_j,
-and each mode's numerator is one gemv.
+builds w once, takes from it the denominator Σ_j w_j, and each mode's
+numerator is one gemv.
 """
 
 from __future__ import annotations
@@ -62,49 +57,38 @@ __all__ = [
     "RasterField",
     "cauchy_eval",
     "eigenmode_field",
-    "estimate_f_infinity",
     "mode_boundary_function",
     "raster_field",
 ]
 
-_F_INFINITY_IMAG_TOL = 1e-8
 _BLOCK_ENTRIES = 32_768  # complex weights per block of points: 0.5 MiB
 
 
 class ExtensionError(ValueError):
-    """Invalid evaluation request (points outside the domain, bad mode index)."""
+    """Invalid evaluation request (points outside the domain, bad mode index, bad data)."""
 
 
 @dataclass(frozen=True)
 class BoundaryFunction:
-    """Sampled boundary values f(η(t_j)) = γ(t_j) + i μ(t_j).
-
-    For exterior domains `f_infinity` holds the (real) value of f at
-    infinity; it is required by the exterior Cauchy rule.
-    """
+    """Sampled boundary values f(η(t_j)) = γ(t_j) + i μ(t_j)."""
 
     grid: Grid
     curve: BoundaryCurve
     values: np.ndarray
-    f_infinity: complex | None = None
 
     def __post_init__(self) -> None:
         if self.values.shape[0] != self.grid.n:
             raise ExtensionError("boundary values and grid size disagree")
-        if self.curve.kind is DomainKind.UNBOUNDED_EXTERIOR and self.f_infinity is not None:
-            if abs(complex(self.f_infinity).imag) > _F_INFINITY_IMAG_TOL:
-                raise ExtensionError(
-                    f"Im f(∞) = {complex(self.f_infinity).imag:.3g} exceeds {_F_INFINITY_IMAG_TOL:g}; "
-                    "boundary data is not the trace of an admissible analytic function"
-                )
+        if not np.all(np.isfinite(self.values)):
+            raise ExtensionError("boundary values are not finite")
 
 
 @dataclass(frozen=True)
 class FieldSample:
     """Field values at scattered points.
 
-    ``flags`` marks points too close to the boundary for the stated
-    quadrature accuracy.
+    ``flags`` marks the points closer than the margin to a node, whose
+    side is the tangent test there.
     """
 
     points: np.ndarray
@@ -194,30 +178,44 @@ def _classify(grid: Grid, z: np.ndarray, bounded: bool) -> tuple[np.ndarray, np.
     return inside, near
 
 
+def _node_weights(bf: BoundaryFunction) -> np.ndarray:
+    """a_j of the Cauchy weights w_j = a_j / (η_j - z); see the module docstring.
+
+    Raises
+    ------
+    ExtensionError
+        If the node mean of an exterior curve is not inside the obstacle.
+    """
+    grid = bf.grid
+    if bf.curve.kind is DomainKind.BOUNDED_INTERIOR:
+        return grid.eta1
+    beta = complex(np.mean(grid.eta))
+    a = grid.eta1 / (grid.eta - beta)
+    if abs(np.real(np.sum(a) / (1j * grid.n)) + 1.0) >= 0.5:  # a clockwise curve winds -1 round β
+        raise ExtensionError(f"the node mean {beta} is not inside the obstacle")
+    return a
+
+
 def _extend(bfs: list[BoundaryFunction], z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Values of boundary functions on one grid at the points z[rows], NaN elsewhere.
 
     ``values[i]`` extends ``bfs[i]``; every row must be strictly inside the domain.
     """
     grid = bfs[0].grid
-    bounded = bfs[0].curve.kind is DomainKind.BOUNDED_INTERIOR
+    a = _node_weights(bfs[0])
     values = np.full((len(bfs), len(z)), np.nan, dtype=complex)
     chunk = max(1, min(len(rows), _BLOCK_ENTRIES // grid.n))  # points per cache-sized block
     block = np.empty((chunk, grid.n), dtype=complex)  # one buffer: differences become w in place
     for lo in range(0, len(rows), chunk):
         rc = rows[lo : lo + chunk]
         w = np.subtract(grid.eta, z[rc, None], out=block[: len(rc)])
-        np.divide(grid.eta1, w, out=w)
-        total = w.sum(axis=1) if bounded else None
+        np.divide(a, w, out=w)
+        total = w.sum(axis=1)
         # a gemv per function, as the columns of one BLAS product can change in the last
         # bit with their number and a mode must not depend on the others; zgemv even for
         # one row, where matmul takes a dot product, so block size changes no bit
         for out, bf in zip(values, bfs):
-            if bounded:
-                out[rc] = zgemv(1.0, w.T, bf.values, trans=1) / total
-            else:
-                c = complex(bf.f_infinity)
-                out[rc] = c + zgemv(1.0, w.T, bf.values - c, trans=1) / (1j * grid.n)
+            out[rc] = zgemv(1.0, w.T, bf.values, trans=1) / total
     return values
 
 
@@ -228,16 +226,14 @@ def cauchy_eval(bf: BoundaryFunction, z: np.ndarray) -> FieldSample:
     ------
     ExtensionError
         If any point is not finite or lies outside the domain (by the
-        side test of the module docstring), or if the exterior rule is
-        invoked without ``f_infinity``.
+        side test of the module docstring), or if the node mean of an
+        exterior curve is not inside the obstacle.
     """
     return _samples([bf], z)[0]
 
 
 def _samples(bfs: list[BoundaryFunction], z: np.ndarray) -> list[FieldSample]:
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if bfs[0].curve.kind is DomainKind.UNBOUNDED_EXTERIOR and bfs[0].f_infinity is None:
-        raise ExtensionError("exterior evaluation requires f_infinity (see estimate_f_infinity)")
     inside, near = _classify(bfs[0].grid, z, bfs[0].curve.kind is DomainKind.BOUNDED_INTERIOR)
     if not np.all(inside):
         raise ExtensionError(f"point {z[~inside][0]} is not strictly inside the domain")
@@ -245,43 +241,14 @@ def _samples(bfs: list[BoundaryFunction], z: np.ndarray) -> list[FieldSample]:
     return [FieldSample(points=z, values=v, u=v.real, flags=near) for v in values]
 
 
-def estimate_f_infinity(bf: BoundaryFunction, beta: complex | None = None) -> complex:
-    """Value of f at infinity from exterior boundary data.
-
-    β must lie strictly inside the bounded complement; it defaults to
-    the parametrization mean, which is interior for all builtin
-    curves.  For admissible boundary data the result is real up to
-    rounding.
-    """
-    if bf.curve.kind is not DomainKind.UNBOUNDED_EXTERIOR:
-        raise ExtensionError("f(∞) is defined for exterior domains only")
-    grid = bf.grid
-    if beta is None:
-        beta = complex(np.mean(grid.eta))
-    beta = complex(beta)
-    w = float(np.real(np.sum(grid.eta1 / (grid.eta - beta)) / (1j * grid.n)))
-    if abs(w + 1.0) > 0.5:  # clockwise curve encloses the complement with winding -1
-        raise ExtensionError(f"beta={beta} is not strictly inside the bounded complement")
-    return complex(-np.sum(bf.values * grid.eta1 / (grid.eta - beta)) / (1j * grid.n))
-
-
 def mode_boundary_function(spectrum: SteklovSpectrum, j: int) -> BoundaryFunction:
-    """Boundary values γ_j + i μ_j of eigenmode j (1-based, j = 1..k).
-
-    For exterior domains f(∞) is estimated from the trace data.
-    """
+    """Boundary values γ_j + i μ_j of eigenmode j (1-based, j = 1..k)."""
     if not 1 <= j <= spectrum.k:
         raise ExtensionError(
             f"mode index {j} out of range 1..{spectrum.k} (the two zero modes are not extendable)"
         )
     values = spectrum.traces[:, j - 1] + 1j * spectrum.conjugates[:, j - 1]
-    bf = BoundaryFunction(grid=spectrum.grid, curve=spectrum.curve, values=values)
-    if spectrum.curve.kind is DomainKind.UNBOUNDED_EXTERIOR:
-        c = estimate_f_infinity(bf)
-        bf = BoundaryFunction(
-            grid=spectrum.grid, curve=spectrum.curve, values=values, f_infinity=c
-        )
-    return bf
+    return BoundaryFunction(grid=spectrum.grid, curve=spectrum.curve, values=values)
 
 
 def _mode_functions(spectrum: SteklovSpectrum, j) -> list[BoundaryFunction]:

@@ -202,7 +202,7 @@ def test_criterion_10_harmonic_extension():
 
     ext = make_builtin("disk", kind=DomainKind.UNBOUNDED_EXTERIOR)
     disc = build_dtn(ext, 64)
-    bf = BoundaryFunction(grid=disc.grid, curve=ext, values=1.0 / disc.grid.eta, f_infinity=0.0)
+    bf = BoundaryFunction(grid=disc.grid, curve=ext, values=1.0 / disc.grid.eta)
     err_rat = abs(cauchy_eval(bf, np.array([2.0 + 0.0j])).values[0] - 0.5)
 
     poly_ok = err_id <= 1e-13 and err_poly <= 1e-10 and err_rat <= 1e-12

@@ -6,14 +6,14 @@ import pytest
 from scipy.linalg.blas import zgemv
 
 import steklov.extension
-from steklov import DomainKind, builtin_families, make_builtin, solve_spectrum
+from generated_curves import trig_curve
+from steklov import BoundaryCurve, DomainKind, builtin_families, make_builtin, solve_spectrum
 from steklov.curves import Grid, build_grid
 from steklov.extension import (
     BoundaryFunction,
     ExtensionError,
     cauchy_eval,
     eigenmode_field,
-    estimate_f_infinity,
     mode_boundary_function,
     raster_field,
 )
@@ -25,13 +25,6 @@ def boundary_data(curve, n, f):
     """BoundaryFunction from explicit analytic boundary values."""
     disc = build_dtn(curve, n)
     return BoundaryFunction(grid=disc.grid, curve=curve, values=f(disc.grid.eta))
-
-
-def exterior_data(curve, n, f, f_infinity):
-    disc = build_dtn(curve, n)
-    return BoundaryFunction(
-        grid=disc.grid, curve=curve, values=f(disc.grid.eta), f_infinity=f_infinity
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +47,7 @@ def test_polynomial_on_g1(g1_curve):
 
 def test_reciprocal_on_exterior_circle():
     ext = make_builtin("disk", kind=DomainKind.UNBOUNDED_EXTERIOR)
-    bf = exterior_data(ext, 64, lambda z: 1.0 / z, f_infinity=0.0)
+    bf = boundary_data(ext, 64, lambda z: 1.0 / z)
     sample = cauchy_eval(bf, np.array([2.0 + 0.0j]))
     assert abs(sample.values[0] - 0.5) <= 1e-12
 
@@ -71,7 +64,7 @@ def test_polynomial_reproduction_bounded(degree):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_rational_reproduction_exterior(kite_exterior, m):
     beta = -0.2 + 0.1j  # pole strictly inside the bounded complement
-    bf = exterior_data(kite_exterior, 256, lambda z: (z - beta) ** (-m), f_infinity=0.0)
+    bf = boundary_data(kite_exterior, 256, lambda z: (z - beta) ** (-m))
     pts = np.array([4.0 + 3.0j, -5.0 - 1.0j, 0.1 - 6.0j])
     sample = cauchy_eval(bf, pts)
     assert np.max(np.abs(sample.values - (pts - beta) ** (-m))) <= 1e-12
@@ -82,16 +75,9 @@ def test_points_outside_domain_rejected(disk):
     with pytest.raises(ExtensionError):
         cauchy_eval(bf, np.array([1.5 + 0.0j]))
     ext = make_builtin("disk", kind=DomainKind.UNBOUNDED_EXTERIOR)
-    bf_ext = exterior_data(ext, 64, lambda z: 1.0 / z, f_infinity=0.0)
+    bf_ext = boundary_data(ext, 64, lambda z: 1.0 / z)
     with pytest.raises(ExtensionError):
         cauchy_eval(bf_ext, np.array([0.2 + 0.1j]))
-
-
-def test_exterior_needs_f_infinity():
-    ext = make_builtin("disk", kind=DomainKind.UNBOUNDED_EXTERIOR)
-    bf = exterior_data(ext, 64, lambda z: 1.0 / z, f_infinity=None)
-    with pytest.raises(ExtensionError):
-        cauchy_eval(bf, np.array([3.0 + 0.0j]))
 
 
 def test_near_boundary_points_flagged(disk):
@@ -113,45 +99,80 @@ def test_mean_value_property_on_disk(disk, rng):
 
 
 # ---------------------------------------------------------------------------
-# f(infinity) estimation
+# One Cauchy rule for both kinds
 # ---------------------------------------------------------------------------
 
-def test_f_infinity_decaying_function():
-    ext = make_builtin("disk", kind=DomainKind.UNBOUNDED_EXTERIOR)
-    bf = exterior_data(ext, 64, lambda z: 1.0 / z, f_infinity=None)
-    assert abs(estimate_f_infinity(bf, beta=0.0)) <= 1e-14
+def off_boundary_points(grid, d):
+    """Points d local spacings (2π/n)|η'_j| off every node, left of η' (into the domain)."""
+    return grid.eta + d * (2 * np.pi / grid.n) * 1j * grid.eta1
 
 
-def test_f_infinity_constant_plus_decay():
-    ext = make_builtin("disk", kind=DomainKind.UNBOUNDED_EXTERIOR)
-    bf = exterior_data(ext, 64, lambda z: 3.0 + 1.0 / z, f_infinity=None)
-    assert abs(estimate_f_infinity(bf, beta=0.0) - 3.0) <= 1e-13
+@pytest.mark.parametrize("n", [128, 256, 512])
+def test_exterior_rule_is_accurate_near_boundary(kite_exterior, n):
+    b0 = -0.3 + 0.05j  # inside the kite obstacle
+    bf = boundary_data(kite_exterior, n, lambda z: 5.0 + 1.0 / (z - b0) + 0.3 / (z - b0) ** 3)
+    for d in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0):
+        z = off_boundary_points(bf.grid, d)
+        exact = 5.0 + 1.0 / (z - b0) + 0.3 / (z - b0) ** 3
+        assert np.max(np.abs(cauchy_eval(bf, z).values - exact)) <= 1e-13, d
 
 
-def test_f_infinity_exterior_kite(kite_exterior):
-    beta0 = -0.2
-    bf = exterior_data(kite_exterior, 512, lambda z: 5.0 + 1.0 / (z - beta0), f_infinity=None)
-    assert abs(estimate_f_infinity(bf) - 5.0) <= 1e-10
+@pytest.mark.parametrize("kind", list(DomainKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("seed", range(12))  # the seeds of tests/test_spectrum.py
+def test_rule_is_accurate_near_generated_curves(seed, kind):
+    curve = trig_curve(seed, kind)
+    grid = build_grid(curve, 256)
+    c0 = np.mean(grid.eta)  # the curve's centre c₀, inside it
+    if kind is DomainKind.BOUNDED_INTERIOR:
+        def f(z):
+            return np.exp(z - c0)
+    else:
+        def f(z):
+            return 2.0 + 1.0 / (z - c0) ** 2
+    bf = BoundaryFunction(grid=grid, curve=curve, values=f(grid.eta))
+    for d in (0.5, 1.0, 2.0, 4.0):
+        z = off_boundary_points(grid, d)
+        assert np.max(np.abs(cauchy_eval(bf, z).values - f(z))) <= 1e-12, d
 
 
-def test_f_infinity_rejects_bad_beta(kite_exterior):
-    bf = exterior_data(kite_exterior, 128, lambda z: 1.0 / z, f_infinity=None)
-    with pytest.raises(ExtensionError):
-        estimate_f_infinity(bf, beta=10.0 + 10.0j)
+def crescent():
+    """A clockwise banana r = 1 + 0.3 cos t, θ = -2.5 sin t, whose node mean lies outside it."""
+    def eta(t):
+        return (1.0 + 0.3 * np.cos(t)) * np.exp(-2.5j * np.sin(t))
 
-
-def test_f_infinity_requires_exterior(disk):
-    bf = boundary_data(disk, 64, lambda z: z)
-    with pytest.raises(ExtensionError):
-        estimate_f_infinity(bf)
-
-
-def test_admissibility_check_on_f_infinity(kite_exterior):
-    disc = build_dtn(kite_exterior, 64)
-    with pytest.raises(ExtensionError):
-        BoundaryFunction(
-            grid=disc.grid, curve=kite_exterior, values=disc.grid.eta * 0, f_infinity=1.0 + 1.0j
+    def eta1(t):
+        return (-0.3 * np.sin(t) - 2.5j * (1.0 + 0.3 * np.cos(t)) * np.cos(t)) * np.exp(
+            -2.5j * np.sin(t)
         )
+
+    def eta2(t):
+        r, r1, r2 = 1.0 + 0.3 * np.cos(t), -0.3 * np.sin(t), -0.3 * np.cos(t)
+        th1, th2 = -2.5 * np.cos(t), 2.5 * np.sin(t)
+        return (r2 + 2j * r1 * th1 + 1j * r * th2 - r * th1**2) * np.exp(-2.5j * np.sin(t))
+
+    return BoundaryCurve(
+        name="crescent", eta=eta, eta1=eta1, eta2=eta2, kind=DomainKind.UNBOUNDED_EXTERIOR
+    )
+
+
+def test_exterior_rule_rejects_node_mean_outside_obstacle():
+    curve = crescent()
+    grid = build_grid(curve, 128)
+    assert abs(np.mean(grid.eta)) < 0.7  # the crescent lies in 0.7 <= |z| <= 1.3
+    bf = BoundaryFunction(grid=grid, curve=curve, values=1.0 / (grid.eta - 1.0))
+    with pytest.raises(ExtensionError, match="not inside the obstacle"):
+        cauchy_eval(bf, np.array([5.0 + 0.0j]))
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag-inf"]
+)
+def test_non_finite_boundary_values_rejected(kite_exterior, bad):
+    grid = build_grid(kite_exterior, 64)
+    values = np.ones(64, dtype=complex)
+    values[7] = bad
+    with pytest.raises(ExtensionError, match="not finite"):
+        BoundaryFunction(grid=grid, curve=kite_exterior, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +230,15 @@ def test_field_is_discretely_harmonic(kite_bounded):
 def test_exterior_mode_field_tends_to_constant(kite_exterior):
     spec = solve_spectrum(kite_exterior, 256, 2)
     bf = mode_boundary_function(spec, 1)
-    far = cauchy_eval(bf, np.array([200.0 + 150.0j]))
-    assert abs(far.values[0] - bf.f_infinity) <= 1e-2 * max(1.0, abs(bf.f_infinity))
+    # the mean over a circle of radius 1e4 is f(∞) up to O(1e4^-8); it must be real
+    circle = 1e4 * np.exp(2j * np.pi * np.arange(8) / 8)
+    c = np.mean(cauchy_eval(bf, circle).values)
+    assert abs(c.imag) <= 1e-8
+    # f - f(∞) decays like 1/|z|: |z| |f(z) - f(∞)| is the same at |z| = 250 and 2500
+    for u in np.exp(1j * np.array([0.0, 0.6435, 2.0])):
+        r = np.array([250.0, 2500.0])
+        decay = r * np.abs(cauchy_eval(bf, r * u).values - c)
+        assert decay[1] > 0 and abs(decay[0] / decay[1] - 1) <= 1e-2
 
 
 def test_raster_field_masks_outside(disk):
@@ -307,11 +335,14 @@ def direct_rule(grid, z, bounded, bfs=()):
     The side is the trapezoidal winding number Re Σ_j w_j / (in), except
     for points closer than the margin to their nearest node (argmin of
     |η_j - z|), which take the tangent test there.  ``values[i]`` is the
-    Cauchy rule for ``bfs[i]`` on every point of each block, kept or not.
+    Cauchy rule for ``bfs[i]`` on every point of each block, kept or not:
+    the barycentric ratio with the node weights a_j = η'_j, or outside
+    a_j = η'_j / (η_j - β), β the node mean.
     """
     margin = 2.0 * (2.0 * np.pi / grid.n) * float(np.max(grid.speed))
     inside, near = np.empty(len(z), dtype=bool), np.empty(len(z), dtype=bool)
     values = np.empty((len(bfs), len(z)), dtype=complex)
+    a = grid.eta1 if bounded else grid.eta1 / (grid.eta - np.mean(grid.eta))
     for lo in range(0, len(z), 64):
         zc = z[lo : lo + 64]
         with np.errstate(divide="ignore", invalid="ignore"):  # points on nodes, outside points
@@ -319,18 +350,14 @@ def direct_rule(grid, z, bounded, bfs=()):
             dist = np.abs(w)
             jmin = np.argmin(dist, axis=1)
             near_c = dist[np.arange(len(zc)), jmin] < margin
-            w = grid.eta1 / w
-            total = w.sum(axis=1)
-            winding = np.real(total / (1j * grid.n))
+            winding = np.real(np.sum(grid.eta1 / w, axis=1) / (1j * grid.n))
             left = np.imag(np.conj(grid.eta1[jmin]) * (zc - grid.eta[jmin])) > 0.0
             inside[lo : lo + 64] = np.where(near_c, left, np.abs(winding - bounded) < 0.5)
             near[lo : lo + 64] = near_c
+            w = a / w
+            total = w.sum(axis=1)
             for out, bf in zip(values[:, lo : lo + 64], bfs):
-                if bounded:
-                    out[:] = zgemv(1.0, w.T, bf.values, trans=1) / total
-                else:
-                    c = complex(bf.f_infinity)
-                    out[:] = c + zgemv(1.0, w.T, bf.values - c, trans=1) / (1j * grid.n)
+                out[:] = zgemv(1.0, w.T, bf.values, trans=1) / total
     return inside, near, values
 
 
@@ -434,6 +461,28 @@ def test_raster_values_match_full_blocks(curve, request, monkeypatch):
     assert np.array_equal(kept.ravel(), inside & ~near)
     for ras, v in zip(fields, values):
         assert np.array_equal(ras.u.ravel()[kept.ravel()], v.real[kept.ravel()])
+
+
+def trig_upsample(values, m):
+    """The trigonometric interpolant of values on n equispaced nodes, sampled on m >= n nodes."""
+    n = len(values)
+    c = np.fft.fft(values)
+    up = np.zeros(m, dtype=complex)
+    up[: n // 2], up[m - n // 2 + 1 :] = c[: n // 2], c[n // 2 + 1 :]
+    up[n // 2] = up[m - n // 2] = c[n // 2] / 2  # the Nyquist term split evenly
+    return np.fft.ifft(up) * (m / n)
+
+
+def test_exterior_raster_matches_upsampled_reference(kite_exterior):
+    spec = solve_spectrum(kite_exterior, 512, 4)
+    fields = raster_field(spec, [1, 2, 3, 4], 120)
+    kept = np.isfinite(fields[0].u)
+    z = (fields[0].x[None, :] + 1j * fields[0].y[:, None])[kept]
+    fine = build_grid(kite_exterior, 8192)
+    for j, ras in enumerate(fields, start=1):
+        values = trig_upsample(mode_boundary_function(spec, j).values, fine.n)
+        ref = cauchy_eval(BoundaryFunction(grid=fine, curve=kite_exterior, values=values), z).u
+        assert np.max(np.abs(ras.u[kept] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("curve", ["kite_bounded", "kite_exterior"])
