@@ -24,11 +24,12 @@ failures emit a one-line JSON diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +130,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 def _add_curve_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--curve", "--family", dest="family", help="builtin curve family")
     parser.add_argument(
-        "--params", default="", help="family parameters as comma-separated k=v pairs, e.g. r=2,a=1"
+        "--params", help="family parameters as comma-separated k=v pairs, e.g. r=2,a=1"
     )
     parser.add_argument(
         "--exterior", action="store_true", help="solve the unbounded exterior problem"
@@ -156,7 +157,7 @@ def _curve_spec_from_args(args) -> dict:
         return json.loads(Path(args.config).read_text())  # curve_from_spec checks its type
     if not args.family:
         raise CurveError("a curve is required: pass --curve/--family or --config")
-    spec: dict = {"family": args.family, "params": _parse_params(args.params)}
+    spec: dict = {"family": args.family, "params": _parse_params(args.params or "")}
     spec["kind"] = (
         DomainKind.UNBOUNDED_EXTERIOR.value if args.exterior else DomainKind.BOUNDED_INTERIOR.value
     )
@@ -233,26 +234,51 @@ def write_crossing_json(path: Path, result: CrossingResult, family: str, kind: D
     write_json(path, {"schema": SCHEMA, "family": family, "kind": kind.value, **vars(result)})
 
 
+def _coordinates(field) -> tuple[np.ndarray, ...]:
+    return (field.x, field.y) if isinstance(field, RasterField) else (field.points,)
+
+
 def write_field_csvs(outdir: Path, modes: list[int], fields) -> None:
     """mode_<j>.csv (x, y, u, flag) for raster fields or point samples of the given modes.
 
     The fields share their coordinates, as one `raster_field` or `eigenmode_field` call
-    returns them: x and y are rendered once into a row template that each file fills
-    with u and flag.  The bytes are those of `write_csv` on the float table.
+    returns them, so x and y are rendered once.  Each layout, a field's pair of (boolean
+    flags, nan mask), gets one row template with its flags and `nan` cells as literals,
+    so a file formats only its other values; one call's fields share one layout.  The
+    bytes are those of `write_csv` on the float table.
+
+    Raises
+    ------
+    ValueError
+        If a field's kind or coordinates differ from the first field's.
     """
     def render(values: np.ndarray) -> list[str]:
         return ["%.15g" % v for v in values.tolist()]
 
     first = fields[0]
+    coords = _coordinates(first)
+    for field in fields[1:]:
+        if type(field) is not type(first) or not all(
+            np.array_equal(a, b, equal_nan=True) for a, b in zip(coords, _coordinates(field))
+        ):
+            raise ValueError("the fields of one write must share their kind and coordinates")
     if isinstance(first, RasterField):
-        xs = render(first.x)
-        xy = ((x, y) for y in render(first.y) for x in xs)
+        xs, ys = render(first.x), render(first.y)
+        x_col, y_col = xs * len(ys), [y for y in ys for _ in xs]
     else:
-        xy = zip(render(first.points.real), render(first.points.imag))
-    template = "".join(f"{x},{y},%.15g,%.15g\n" for x, y in xy)
+        x_col, y_col = render(first.points.real), render(first.points.imag)
+    cells = ("%.15g,0\n", "%.15g,1\n", "nan,0\n", "nan,1\n")  # by 2 * nan + flag
+    templates: dict[bytes, str] = {}
     for j, field in zip(modes, fields):
-        cells = np.column_stack((field.u.ravel(), field.flags.ravel())).ravel().tolist()
-        (outdir / f"mode_{j}.csv").write_text("x,y,u,flag\n" + template % tuple(cells))
+        u = field.u.ravel()
+        nan = np.isnan(u)
+        layout = (2 * nan + field.flags.ravel().astype(bool)).astype(np.uint8)
+        key = layout.tobytes()
+        if key not in templates:
+            tail = map(cells.__getitem__, layout.tolist())
+            rows = zip(x_col, repeat(","), y_col, repeat(","), tail)
+            templates[key] = "".join(chain(["x,y,u,flag\n"], chain.from_iterable(rows)))
+        (outdir / f"mode_{j}.csv").write_text(templates[key] % tuple(u[~nan].tolist()))
 
 
 def _dump_operators(outdir: Path, curve, n: int) -> None:
@@ -289,8 +315,20 @@ def _cmd_solve(args, outdir: Path) -> int:
     return 0
 
 
+# modes options that say what to solve, so they have no meaning with --spectrum
+_FUSED_RUN_OPTIONS = (
+    ("n", "--n"), ("k", "--k"), ("family", "--curve/--family"), ("params", "--params"),
+    ("exterior", "--exterior"), ("alpha", "--alpha"), ("perimeter", "--perimeter"),
+    ("config", "--config"),
+)
+
+
 def _spectrum_for_modes(args, modes: list[int]) -> SteklovSpectrum:
     if args.spectrum:
+        values = ((flag, getattr(args, dest)) for dest, flag in _FUSED_RUN_OPTIONS)
+        given = [flag for flag, value in values if value is not None and value is not False]
+        if given:
+            raise ConfigError(f"--spectrum reuses a solve, so {', '.join(given)} cannot be given")
         with _reading(f"--spectrum {args.spectrum}"):
             payload = json.loads(Path(args.spectrum).read_text())
             if not isinstance(payload, dict):
@@ -305,8 +343,9 @@ def _spectrum_for_modes(args, modes: list[int]) -> SteklovSpectrum:
     elif args.n is None:
         raise CurveError("modes requires --n (or --spectrum to reuse a solve)")
     else:
-        _check_size(args.n, args.k)
-        n, k, curve = args.n, args.k, _build_curve(args, args.n)
+        n, k = args.n, 10 if args.k is None else args.k
+        _check_size(n, k)
+        curve = _build_curve(args, n)
     for j in modes:
         if not 1 <= j <= k:
             raise ConfigError(f"--modes index {j} out of range 1..{k}")
@@ -437,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_curve_options(p_modes)
     p_modes.add_argument("--spectrum", help="existing spectrum.json to reuse")
     p_modes.add_argument("--n", type=int, help="even grid size (fused run)")
-    p_modes.add_argument("--k", type=int, default=10, help="mode count (fused run)")
+    p_modes.add_argument("--k", type=int, help="mode count (fused run, default 10)")
     p_modes.add_argument("--modes", default="1", help="comma-separated 1-based mode indices")
     p_modes.add_argument("--raster", type=_raster_size, default=64, help="points per axis (>= 2)")
     p_modes.add_argument("--points", help="CSV of x,y evaluation points (overrides --raster)")
@@ -500,9 +539,13 @@ def _emit_error(kind: str, exc: Exception) -> None:
     )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()  # parse_args keeps no state in the parser, so one serves every call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         Path(args.output).mkdir(parents=True, exist_ok=True)
         return args.func(args, Path(args.output))

@@ -10,11 +10,12 @@ import scipy.linalg
 
 import steklov
 import steklov.cli
+import steklov.curves
 import steklov.operators
 import steklov.spectrum
 from steklov.cli import fmt, main, write_csv, write_field_csvs
 from steklov.densela import SingularMatrixError
-from steklov.extension import FieldSample, RasterField
+from steklov.extension import FieldSample, RasterField, eigenmode_field, raster_field
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -341,6 +342,63 @@ def test_modes_raster_below_two_rejected(tmp_path, capsys, size):
     assert list(tmp_path.glob("mode_*.csv")) == []
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--n", "32"], ["--k", "2"], ["--curve", "kite"], ["--family", "kite"], ["--params", "r=2"],
+     ["--exterior"], ["--alpha=0.1,0.0"], ["--perimeter", "6"], ["--config", "curve.json"]],
+    ids=["n", "k", "curve", "family", "params", "exterior", "alpha", "perimeter", "config"],
+)
+def test_modes_spectrum_rejects_fused_run_flags(tmp_path, capsys, monkeypatch, flags):
+    assert run_cli(["solve", "--curve", "disk", "--n", "32", "--k", "2",
+                    "--output", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+    def no_solve(*args):
+        raise AssertionError("solved although --spectrum conflicts with a fused-run flag")
+
+    monkeypatch.setattr(steklov.cli, "solve_spectrum", no_solve)
+    out = tmp_path / "modes"
+    code = run_cli(["modes", "--spectrum", str(tmp_path / "spectrum.json"), *flags,
+                    "--output", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert flags[0].split("=")[0] in err["message"]
+    assert list(out.glob("mode_*.csv")) == []
+
+
+def test_modes_fused_run_defaults_to_ten_modes(tmp_path, capsys):
+    disk = ["modes", "--curve", "disk", "--n", "32"]
+    assert run_cli([*disk, "--modes", "10", "--raster", "8", "--output", str(tmp_path)]) == 0
+    assert run_cli([*disk, "--modes", "11", "--output", str(tmp_path)]) == 2
+    assert "out of range 1..10" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
+def _raster_rows(path):
+    return len(path.read_text().splitlines()) - 1
+
+
+def test_cached_parser_keeps_no_state(tmp_path):
+    disk = ["--curve", "disk", "--n", "32", "--k", "2"]
+    # a --raster given once does not become the next call's default
+    assert run_cli(["modes", *disk, "--raster", "12", "--output", str(tmp_path / "a")]) == 0
+    assert run_cli(["modes", *disk, "--output", str(tmp_path / "b")]) == 0
+    assert _raster_rows(tmp_path / "a" / "mode_1.csv") == 12 * 12
+    assert _raster_rows(tmp_path / "b" / "mode_1.csv") == 64 * 64
+    # a solve between two modes calls changes neither
+    assert run_cli(["solve", *disk, "--format", "csv", "--output", str(tmp_path / "s")]) == 0
+    assert (tmp_path / "s" / "spectrum.csv").is_file()
+    assert run_cli(["modes", *disk, "--output", str(tmp_path / "c")]) == 0
+    b, c = (tmp_path / name / "mode_1.csv" for name in ("b", "c"))
+    assert b.read_bytes() == c.read_bytes()
+    # an argparse error leaves the next call as it would be alone
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["modes", *disk, "--raster", "1", "--output", str(tmp_path / "e")])
+    assert exc.value.code == 2
+    assert run_cli(["modes", *disk, "--output", str(tmp_path / "f")]) == 0
+    assert (tmp_path / "f" / "mode_1.csv").read_bytes() == b.read_bytes()
+
+
 def test_write_csv_matches_per_cell_rendering(tmp_path):
     def per_cell(rows):
         return "".join(
@@ -383,6 +441,62 @@ def test_field_csvs_match_write_csv(tmp_path):
             table = np.column_stack((xs, ys, field.u.ravel(), field.flags.ravel()))
             write_csv(tmp_path / "expected.csv", ["x", "y", "u", "flag"], table)
             assert (out / f"mode_{j}.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def _expected_csv(tmp_path, xs, ys, field) -> bytes:
+    table = np.column_stack((xs, ys, field.u.ravel(), field.flags.ravel()))
+    write_csv(tmp_path / "expected.csv", ["x", "y", "u", "flag"], table)
+    return (tmp_path / "expected.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["bounded", "exterior"])
+def test_field_csvs_of_real_fields_match_write_csv(tmp_path, kind):
+    curve = steklov.curves.make_builtin("kite", kind=steklov.curves.DomainKind(kind))
+    spec = steklov.spectrum.solve_spectrum(curve, 128, 4)
+    modes = [1, 2, 3, 4]
+    rasters = raster_field(spec, modes, 24)
+    write_field_csvs(tmp_path, modes, rasters)
+    xs, ys = np.tile(rasters[0].x, 24), np.repeat(rasters[0].y, 24)
+    assert np.any(rasters[0].flags) and np.any(np.isnan(rasters[0].u))
+    for j, ras in zip(modes, rasters):
+        assert (tmp_path / f"mode_{j}.csv").read_bytes() == _expected_csv(tmp_path, xs, ys, ras)
+    # the raster's kept and flagged cells lie inside, and some are near the boundary
+    kept = ~np.isnan(rasters[0].u.ravel()) | rasters[0].flags.ravel()
+    points = (xs + 1j * ys)[kept]
+    samples = eigenmode_field(spec, [2, 3], points)
+    assert np.any(samples[0].flags) and not np.all(samples[0].flags)
+    write_field_csvs(tmp_path, [2, 3], samples)
+    for j, sample in zip([2, 3], samples):
+        expected = _expected_csv(tmp_path, points.real, points.imag, sample)
+        assert (tmp_path / f"mode_{j}.csv").read_bytes() == expected
+
+
+def test_field_csvs_reject_fields_with_other_coordinates(tmp_path):
+    x, y = np.array([0.0, 1.0, np.nan]), np.array([-1.0, 2.0])
+    u, flags = np.zeros((2, 3)), np.zeros((2, 3), dtype=bool)
+    pts = np.array([0.1 + 0.2j, np.nan])
+
+    def raster(x, y):
+        return RasterField(x=x, y=y, u=u, flags=flags)
+
+    def sample(points):
+        return FieldSample(points=points, values=points, u=points.real, flags=flags[0, :2])
+
+    write_field_csvs(tmp_path, [1, 2], [raster(x, y), raster(x.copy(), y.copy())])  # nan == nan
+    write_field_csvs(tmp_path, [1, 2], [sample(pts), sample(pts.copy())])
+    cases = {
+        "x": [raster(x, y), raster(x + 1.0, y)],
+        "y": [raster(x, y), raster(x, y[::-1])],
+        "points": [sample(pts), sample(pts + 1j)],
+        "raster-then-sample": [raster(x, y), sample(pts)],
+        "sample-then-raster": [sample(pts), raster(x, y)],
+    }
+    for name, fields in cases.items():
+        out = tmp_path / name
+        out.mkdir()
+        with pytest.raises(ValueError, match="coordinates"):
+            write_field_csvs(out, [1, 2], fields)
+        assert list(out.glob("mode_*.csv")) == [], name
 
 
 def test_scripts_write_the_cli_artifacts(tmp_path):
