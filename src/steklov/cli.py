@@ -24,7 +24,6 @@ failures emit a one-line JSON diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import warnings
@@ -54,6 +53,7 @@ from .studies import (
 )
 
 SCHEMA = "steklov/2"
+DEFAULT_K = 10  # eigenvalues solved for when --k is not given (solve, modes)
 
 
 class ConfigError(Exception):
@@ -127,19 +127,23 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 # Curve options
 # ---------------------------------------------------------------------------
 
-def _add_curve_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--curve", "--family", dest="family", help="builtin curve family")
-    parser.add_argument(
-        "--params", help="family parameters as comma-separated k=v pairs, e.g. r=2,a=1"
-    )
-    parser.add_argument(
-        "--exterior", action="store_true", help="solve the unbounded exterior problem"
-    )
-    parser.add_argument("--alpha", help="base point override as re,im (bounded domains)")
-    parser.add_argument(
-        "--perimeter", type=float, default=None, help="normalize the curve to this boundary length"
-    )
-    parser.add_argument("--config", help="JSON file with a curve spec (overrides curve flags)")
+def _add_curve_options(parser: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [
+        parser.add_argument("--curve", "--family", dest="family", help="builtin curve family"),
+        parser.add_argument(
+            "--params", default="",
+            help="family parameters as comma-separated k=v pairs, e.g. r=2,a=1",
+        ),
+        parser.add_argument(
+            "--exterior", action="store_true", help="solve the unbounded exterior problem"
+        ),
+        parser.add_argument("--alpha", help="base point override as re,im (bounded domains)"),
+        parser.add_argument(
+            "--perimeter", type=float, default=None,
+            help="normalize the curve to this boundary length",
+        ),
+        parser.add_argument("--config", help="JSON file with a curve spec (overrides curve flags)"),
+    ]
 
 
 def _parse_params(text: str) -> dict:
@@ -157,7 +161,7 @@ def _curve_spec_from_args(args) -> dict:
         return json.loads(Path(args.config).read_text())  # curve_from_spec checks its type
     if not args.family:
         raise CurveError("a curve is required: pass --curve/--family or --config")
-    spec: dict = {"family": args.family, "params": _parse_params(args.params or "")}
+    spec: dict = {"family": args.family, "params": _parse_params(args.params)}
     spec["kind"] = (
         DomainKind.UNBOUNDED_EXTERIOR.value if args.exterior else DomainKind.BOUNDED_INTERIOR.value
     )
@@ -315,18 +319,11 @@ def _cmd_solve(args, outdir: Path) -> int:
     return 0
 
 
-# modes options that say what to solve, so they have no meaning with --spectrum
-_FUSED_RUN_OPTIONS = (
-    ("n", "--n"), ("k", "--k"), ("family", "--curve/--family"), ("params", "--params"),
-    ("exterior", "--exterior"), ("alpha", "--alpha"), ("perimeter", "--perimeter"),
-    ("config", "--config"),
-)
-
-
 def _spectrum_for_modes(args, modes: list[int]) -> SteklovSpectrum:
     if args.spectrum:
-        values = ((flag, getattr(args, dest)) for dest, flag in _FUSED_RUN_OPTIONS)
-        given = [flag for flag, value in values if value is not None and value is not False]
+        given = [
+            "/".join(a.option_strings) for a in args.fused_run if getattr(args, a.dest) != a.default
+        ]
         if given:
             raise ConfigError(f"--spectrum reuses a solve, so {', '.join(given)} cannot be given")
         with _reading(f"--spectrum {args.spectrum}"):
@@ -343,7 +340,7 @@ def _spectrum_for_modes(args, modes: list[int]) -> SteklovSpectrum:
     elif args.n is None:
         raise CurveError("modes requires --n (or --spectrum to reuse a solve)")
     else:
-        n, k = args.n, 10 if args.k is None else args.k
+        n, k = args.n, DEFAULT_K if args.k is None else args.k
         _check_size(n, k)
         curve = _build_curve(args, n)
     for j in modes:
@@ -464,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="compute a Steklov spectrum")
     _add_curve_options(p_solve)
     p_solve.add_argument("--n", type=int, required=True, help="even grid size")
-    p_solve.add_argument("--k", type=int, default=10, help="number of nonzero eigenvalues")
+    p_solve.add_argument("--k", type=int, default=DEFAULT_K, help="number of nonzero eigenvalues")
     p_solve.add_argument("--scaled", action="store_true", help="print area-scaled eigenvalues")
     p_solve.add_argument("--traces", action="store_true", help="write boundary trace CSVs")
     p_solve.add_argument("--dump-operators", action="store_true", help="write K/B/C/E CSVs")
@@ -473,15 +470,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=_cmd_solve)
 
     p_modes = sub.add_parser("modes", help="evaluate eigenfunction fields")
-    _add_curve_options(p_modes)
     p_modes.add_argument("--spectrum", help="existing spectrum.json to reuse")
-    p_modes.add_argument("--n", type=int, help="even grid size (fused run)")
-    p_modes.add_argument("--k", type=int, help="mode count (fused run, default 10)")
+    fused_run = [  # what to solve, so none of these may go with --spectrum
+        *_add_curve_options(p_modes),
+        p_modes.add_argument("--n", type=int, help="even grid size (fused run)"),
+        p_modes.add_argument("--k", type=int, help=f"mode count (fused run, default {DEFAULT_K})"),
+    ]
     p_modes.add_argument("--modes", default="1", help="comma-separated 1-based mode indices")
     p_modes.add_argument("--raster", type=_raster_size, default=64, help="points per axis (>= 2)")
     p_modes.add_argument("--points", help="CSV of x,y evaluation points (overrides --raster)")
     p_modes.add_argument("--output", default=".", help="output directory")
-    p_modes.set_defaults(func=_cmd_modes)
+    p_modes.set_defaults(func=_cmd_modes, fused_run=fused_run)
 
     p_conv = sub.add_parser("converge", help="eigenvalue convergence against a reference grid")
     _add_curve_options(p_conv)
@@ -539,13 +538,9 @@ def _emit_error(kind: str, exc: Exception) -> None:
     )
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()  # parse_args keeps no state in the parser, so one serves every call
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         Path(args.output).mkdir(parents=True, exist_ok=True)
         return args.func(args, Path(args.output))

@@ -208,9 +208,7 @@ def _extend(bfs: list[BoundaryFunction], z: np.ndarray, rows: np.ndarray) -> np.
     block = np.empty((chunk, grid.n), dtype=complex)  # one buffer: differences become w in place
     for lo in range(0, len(rows), chunk):
         rc = rows[lo : lo + chunk]
-        w = block[: len(rc)]
-        w[...] = grid.eta  # a copy and an in-place subtract beat the broadcast subtract
-        w -= z[rc, None]
+        w = np.subtract(grid.eta, z[rc, None], out=block[: len(rc)])
         np.divide(a, w, out=w)
         total = w.sum(axis=1)
         # a gemv per function, as the columns of one BLAS product can change in the last

@@ -374,31 +374,6 @@ def test_modes_fused_run_defaults_to_ten_modes(tmp_path, capsys):
     assert "out of range 1..10" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
-def _raster_rows(path):
-    return len(path.read_text().splitlines()) - 1
-
-
-def test_cached_parser_keeps_no_state(tmp_path):
-    disk = ["--curve", "disk", "--n", "32", "--k", "2"]
-    # a --raster given once does not become the next call's default
-    assert run_cli(["modes", *disk, "--raster", "12", "--output", str(tmp_path / "a")]) == 0
-    assert run_cli(["modes", *disk, "--output", str(tmp_path / "b")]) == 0
-    assert _raster_rows(tmp_path / "a" / "mode_1.csv") == 12 * 12
-    assert _raster_rows(tmp_path / "b" / "mode_1.csv") == 64 * 64
-    # a solve between two modes calls changes neither
-    assert run_cli(["solve", *disk, "--format", "csv", "--output", str(tmp_path / "s")]) == 0
-    assert (tmp_path / "s" / "spectrum.csv").is_file()
-    assert run_cli(["modes", *disk, "--output", str(tmp_path / "c")]) == 0
-    b, c = (tmp_path / name / "mode_1.csv" for name in ("b", "c"))
-    assert b.read_bytes() == c.read_bytes()
-    # an argparse error leaves the next call as it would be alone
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["modes", *disk, "--raster", "1", "--output", str(tmp_path / "e")])
-    assert exc.value.code == 2
-    assert run_cli(["modes", *disk, "--output", str(tmp_path / "f")]) == 0
-    assert (tmp_path / "f" / "mode_1.csv").read_bytes() == b.read_bytes()
-
-
 def test_write_csv_matches_per_cell_rendering(tmp_path):
     def per_cell(rows):
         return "".join(
