@@ -32,11 +32,22 @@ sample mark exactly the near points, where the side is the tangent
 test, and rasters mask them; they do not mark where the rule loses
 accuracy.  Anything within 1e-6 of the curve should not be trusted.
 
+Computed modes are extended from n' = min(n, 2 max(P, L) + 2) nodes,
+not n.  γ has degree P, and μ = Kγ + (Ê - K̂)γ has degree at most
+max(P, L), with L the top frequency of the kernels' band, so truncating
+their FFTs and transforming back to n' nodes resamples them exactly.
+The rule is limited by how well the data are resolved, not by the grid
+(the trapezoidal rule converges geometrically on resolved periodic data:
+Trefethen & Weideman, SIAM Rev. 56, 2014), so the fields agree with the
+n-node rule to rounding.  Points are still classified on the n nodes,
+which keeps the margin, the flags and the raster mask.  A user
+`BoundaryFunction` has no known degree and keeps its nodes.
+
 One pass then serves every requested mode, over cache-sized blocks of
-`_BLOCK_ENTRIES` weights (64 points at n = 512) that hold kept points
-only (inside and, for rasters, away from the boundary).  Per block it
-builds w once, takes from it the denominator Σ_j w_j, and each mode's
-numerator is one gemv.
+`_BLOCK_ENTRIES` weights (172 points for the kite's n' = 190) that hold
+kept points only (inside and, for rasters, away from the boundary).  Per
+block it builds w once, takes from it the denominator Σ_j w_j, and each
+mode's numerator is one gemv.
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ import numpy as np
 from scipy.linalg.blas import zgemv
 
 from .curves import BoundaryCurve, DomainKind, Grid
+from .operators import _sample_grid
 from .spectrum import SteklovSpectrum
 
 __all__ = [
@@ -229,12 +241,13 @@ def cauchy_eval(bf: BoundaryFunction, z: np.ndarray) -> FieldSample:
         side test of the module docstring), or if the node mean of an
         exterior curve is not inside the obstacle.
     """
-    return _samples([bf], z)[0]
+    return _samples(bf.grid, [bf], z)[0]
 
 
-def _samples(bfs: list[BoundaryFunction], z: np.ndarray) -> list[FieldSample]:
+def _samples(grid: Grid, bfs: list[BoundaryFunction], z: np.ndarray) -> list[FieldSample]:
+    """Samples of ``bfs`` at z, the points classified on ``grid``."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    inside, near = _classify(bfs[0].grid, z, bfs[0].curve.kind is DomainKind.BOUNDED_INTERIOR)
+    inside, near = _classify(grid, z, bfs[0].curve.kind is DomainKind.BOUNDED_INTERIOR)
     if not np.all(inside):
         raise ExtensionError(f"point {z[~inside][0]} is not strictly inside the domain")
     values = _extend(bfs, z, np.arange(len(z)))
@@ -252,7 +265,22 @@ def mode_boundary_function(spectrum: SteklovSpectrum, j: int) -> BoundaryFunctio
 
 
 def _mode_functions(spectrum: SteklovSpectrum, j) -> list[BoundaryFunction]:
-    return [mode_boundary_function(spectrum, int(i)) for i in np.atleast_1d(j)]
+    """Modes j resampled exactly on the n' nodes that resolve them; see the module docstring."""
+    bfs = [mode_boundary_function(spectrum, int(i)) for i in np.atleast_1d(j)]
+    n = spectrum.n
+    m = min(n, 2 * max(spectrum.degree, (spectrum.band_size - 1) // 2) + 2)
+    if m == n:
+        return bfs
+    grid = _sample_grid(spectrum.curve, m)
+
+    def resample(x: np.ndarray) -> np.ndarray:  # bins 0 .. m/2 - 1; m's Nyquist bin is empty
+        return np.fft.irfft(np.fft.rfft(x, norm="forward")[: m // 2], m, norm="forward")
+
+    return [
+        BoundaryFunction(grid=grid, curve=spectrum.curve,
+                         values=resample(bf.values.real) + 1j * resample(bf.values.imag))
+        for bf in bfs
+    ]
 
 
 def eigenmode_field(
@@ -263,7 +291,7 @@ def eigenmode_field(
     For a sequence of mode indices, one sample per mode from one pass
     over the points.
     """
-    samples = _samples(_mode_functions(spectrum, j), points)
+    samples = _samples(spectrum.grid, _mode_functions(spectrum, j), points)
     return samples if np.ndim(j) else samples[0]
 
 

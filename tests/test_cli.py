@@ -273,6 +273,28 @@ def test_modes_with_points_file(tmp_path):
     assert len(lines) == 3
 
 
+def test_modes_points_flags_use_the_spectrum_grid(tmp_path):
+    # scattered points 0.05-4 local spacings inside the kite, where the margin of the
+    # n = 512 grid and that of the 190 nodes the Cauchy sums run on flag differently
+    rng = np.random.default_rng(512)
+    curve = steklov.make_builtin("kite")
+    t = rng.uniform(0.0, 2.0 * np.pi, 400)
+    d = rng.uniform(0.05, 4.0, 400) * (2.0 * np.pi / 512)
+    z = curve.eta(t) + d * 1j * curve.eta1(t)
+    pts = tmp_path / "pts.csv"
+    np.savetxt(pts, np.column_stack([z.real, z.imag]), fmt="%.17g", delimiter=",",
+               header="x,y", comments="")
+    assert run_cli(["modes", "--curve", "kite", "--n", "512", "--k", "4", "--modes", "1,4",
+                    "--points", str(pts), "--output", str(tmp_path)]) == 0
+    near = steklov.extension._classify(steklov.curves.build_grid(curve, 512), z, True)[1]
+    coarse = steklov.extension._classify(steklov.curves.build_grid(curve, 190), z, True)[1]
+    assert near.any() and not near.all() and not np.array_equal(near, coarse)
+    for j in (1, 4):
+        rows = np.loadtxt(tmp_path / f"mode_{j}.csv", delimiter=",", skiprows=1)
+        assert np.max(np.abs(rows[:, 0] + 1j * rows[:, 1] - z)) <= 1e-14  # written as %.15g
+        assert np.array_equal(rows[:, 3] == 1, near)
+
+
 @pytest.mark.parametrize(
     "text",
     ["x\n0.1\n", "x,y\n", "x,y\n0.1,0.0\ninf,0\n", "x,y\nnan,0\n", "x,y\n0.1,-inf\n"],

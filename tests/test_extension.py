@@ -17,7 +17,7 @@ from steklov.extension import (
     mode_boundary_function,
     raster_field,
 )
-from steklov.extension import _classify
+from steklov.extension import _classify, _mode_functions
 from steklov.operators import build_dtn
 
 
@@ -294,14 +294,15 @@ def test_eigenmode_field_many_modes_match_single_calls(kite_exterior):
 
 @pytest.mark.parametrize("curve", ["kite_bounded", "kite_exterior"])
 def test_block_size_does_not_change_fields(curve, request, monkeypatch):
-    spec = solve_spectrum(request.getfixturevalue(curve), 128, 4)
+    spec = solve_spectrum(request.getfixturevalue(curve), 256, 4)  # n' = 190 < n for both kinds
     modes = [1, 2, 3, 4]
     fields = raster_field(spec, modes, 30)
     inside = np.isfinite(fields[0].u) | fields[0].flags  # near points are kept by samples
     pts = (fields[0].x[None, :] + 1j * fields[0].y[:, None])[inside]
     samples = eigenmode_field(spec, modes, pts)
     assert 30 * 30 % 11 and len(pts) % 11  # eleven points per block leave a short last block
-    for entries in (spec.n, 11 * spec.n):
+    nodes = _mode_functions(spec, modes)[0].grid.n  # n', the nodes of the Cauchy sums
+    for entries in (nodes, 11 * nodes):
         monkeypatch.setattr(steklov.extension, "_BLOCK_ENTRIES", entries)
         for ras, again in zip(fields, raster_field(spec, modes, 30)):
             assert np.array_equal(ras.u, again.u, equal_nan=True)
@@ -450,15 +451,17 @@ def test_raster_values_match_full_blocks(curve, request, monkeypatch):
     monkeypatch.setattr(steklov.extension, "zgemv", counted)
     fields = raster_field(spec, modes, 120)
     kept = np.isfinite(fields[0].u)
-    chunk = steklov.extension._BLOCK_ENTRIES // spec.n
+    bfs = _mode_functions(spec, modes)
+    assert bfs[0].grid.n == {"kite_bounded": 190, "kite_exterior": 188}[curve]  # 2 max(P, L) + 2
+    chunk = steklov.extension._BLOCK_ENTRIES // bfs[0].grid.n
     # every block holds kept points only, and all but the last are full
     assert len(calls) == len(modes) * math.ceil(kept.sum() / chunk)
     assert sum(calls) == len(modes) * kept.sum()
     z = (fields[0].x[None, :] + 1j * fields[0].y[:, None]).ravel()
-    bfs = [mode_boundary_function(spec, j) for j in modes]
     bounded = spec.curve.kind is DomainKind.BOUNDED_INTERIOR
-    inside, near, values = direct_rule(spec.grid, z, bounded, bfs)
+    inside, near, _ = direct_rule(spec.grid, z, bounded)  # classified on the n nodes
     assert np.array_equal(kept.ravel(), inside & ~near)
+    values = direct_rule(bfs[0].grid, z, bounded, bfs)[2]  # summed on the n' nodes
     for ras, v in zip(fields, values):
         assert np.array_equal(ras.u.ravel()[kept.ravel()], v.real[kept.ravel()])
 
@@ -483,6 +486,64 @@ def test_exterior_raster_matches_upsampled_reference(kite_exterior):
         values = trig_upsample(mode_boundary_function(spec, j).values, fine.n)
         ref = cauchy_eval(BoundaryFunction(grid=fine, curve=kite_exterior, values=values), z).u
         assert np.max(np.abs(ras.u[kept] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind", list(DomainKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("family", ["kite", "g1", "g2", "star2"])
+def test_resolved_nodes_match_upsampled_reference(family, kind):
+    curve = make_builtin(family, kind=kind)
+    spec = solve_spectrum(curve, 512, 4)
+    modes = [1, 2, 3, 4]
+    bounded = kind is DomainKind.BOUNDED_INTERIOR
+    assert _mode_functions(spec, modes)[0].grid.n < spec.n
+    fields = raster_field(spec, modes, 60)
+    zz = (fields[0].x[None, :] + 1j * fields[0].y[:, None]).ravel()
+    inside, near = _classify(spec.grid, zz, bounded)  # the n-node classification
+    kept = inside & ~near
+    assert np.array_equal(np.isfinite(fields[0].u).ravel(), kept)
+    assert np.array_equal(fields[0].flags.ravel(), inside & near)
+    pts = np.concatenate([off_boundary_points(spec.grid, d) for d in (0.1, 0.5, 1.0, 2.0, 4.0)])
+    samples = eigenmode_field(spec, modes, pts)
+    fine = build_grid(curve, 8192)
+    bfs = [mode_boundary_function(spec, j) for j in modes]
+    ups = [BoundaryFunction(grid=fine, curve=curve, values=trig_upsample(bf.values, fine.n))
+           for bf in bfs]
+    refs = steklov.extension._samples(fine, ups, np.concatenate([zz[kept], pts]))
+    for bf, ras, sample, ref in zip(bfs, fields, samples, refs):
+        scale = np.max(np.abs(bf.values))
+        assert np.max(np.abs(ras.u.ravel()[kept] - ref.u[: kept.sum()])) <= 1e-13 * scale
+        assert np.max(np.abs(sample.values - ref.values[kept.sum() :])) <= 1e-13 * scale
+        assert np.max(np.abs(sample.values - cauchy_eval(bf, pts).values)) <= 1e-13 * scale
+        assert np.array_equal(sample.flags, _classify(spec.grid, pts, bounded)[1])
+
+
+@pytest.mark.parametrize("kind", list(DomainKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("n", [256, 512, 1024, 2048])
+@pytest.mark.parametrize("family", builtin_families())
+def test_mode_data_have_degree_max_p_l(family, n, kind):
+    spec = solve_spectrum(make_builtin(family, kind=kind), n, 10)
+    top = max(spec.degree, (spec.band_size - 1) // 2)  # max(P, L)
+    for data in (spec.traces, spec.conjugates):
+        hat = np.abs(np.fft.rfft(data, axis=0))
+        assert np.all(np.max(hat[top + 1 :], axis=0, initial=0.0) <= 1e-14 * np.max(hat, axis=0))
+
+
+@pytest.mark.parametrize("kind", list(DomainKind), ids=lambda k: k.value)
+def test_band_at_half_n_keeps_all_nodes(kind):
+    spec = solve_spectrum(make_builtin("star2", kind=kind), 128, 4)
+    assert spec.band_size == spec.n and 2 * spec.degree + 2 < spec.n  # the band sets n' = n
+    modes = [1, 2, 3, 4]
+    bfs = _mode_functions(spec, modes)
+    assert all(bf.grid is spec.grid for bf in bfs)
+    fields = raster_field(spec, modes, 40)
+    z = (fields[0].x[None, :] + 1j * fields[0].y[:, None]).ravel()
+    kept = np.isfinite(fields[0].u).ravel()
+    values = direct_rule(spec.grid, z, kind is DomainKind.BOUNDED_INTERIOR, bfs)[2]
+    for j, ras, v in zip(modes, fields, values):
+        assert np.array_equal(ras.u.ravel()[kept], v.real[kept])
+        pts = z[kept][::7]
+        expected = cauchy_eval(mode_boundary_function(spec, j), pts).values
+        assert np.array_equal(eigenmode_field(spec, j, pts).values, expected)
 
 
 @pytest.mark.parametrize("curve", ["kite_bounded", "kite_exterior"])
