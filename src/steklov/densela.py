@@ -2,12 +2,12 @@
 
 `lu_factor` factors a real square matrix once; `LUFactors.solve` solves
 with the factors for a vector or a matrix of right-hand sides.
-`smallest_magnitude_eigs` returns the k eigenpairs of smallest modulus
-of a symmetric-definite pencil S x = λ W x (S symmetric, W symmetric
-positive definite) from LAPACK's generalized symmetric eigensolver
-(`scipy.linalg.eigh`); on a positive semidefinite S they are the k
-lowest.  Both are deterministic: the same input gives the same bits on
-the same BLAS.
+`smallest_magnitude_eigs` returns the k lowest eigenpairs of a
+symmetric-definite pencil S x = λ W x (S symmetric, W symmetric positive
+definite) from LAPACK's generalized symmetric eigensolver
+(`scipy.linalg.eigh`); on a positive semidefinite S they are the k of
+smallest modulus.  Both are deterministic: the same input gives the same
+bits on the same BLAS.
 
 Solves with the factors go through scipy's LAPACK, and callers' products
 with them through scipy's BLAS, never numpy's `@`: numpy and scipy may
@@ -84,12 +84,12 @@ def lu_factor(a: np.ndarray) -> LUFactors:
 def smallest_magnitude_eigs(
     s: np.ndarray, w: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The k eigenpairs of S x = λ W x of smallest modulus, ascending, with xᵀ W x = 1.
+    """The k lowest eigenpairs of S x = λ W x, ascending, with xᵀ W x = 1.
 
     Only the lower triangles of S and W are read; degenerate eigenvalues
-    get W-orthonormal vectors.  The k of smallest modulus are the k
-    lowest unless the lowest is negative (S indefinite): one solve for
-    the k lowest, and for an indefinite S one for the whole spectrum.
+    get W-orthonormal vectors.  On a positive semidefinite S the k lowest
+    are the k of smallest modulus (the name the benchmark traces); an
+    indefinite S gives its negative eigenvalues first.
 
     Raises
     ------
@@ -102,10 +102,6 @@ def smallest_magnitude_eigs(
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={size}")
     try:
         values, vectors = scipy.linalg.eigh(s, w, subset_by_index=(0, k - 1))
-        if values[0] < 0.0:
-            values, vectors = scipy.linalg.eigh(s, w)
-            keep = np.sort(np.argsort(np.abs(values), kind="stable")[:k])
-            values, vectors = values[keep], vectors[:, keep]
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"symmetric-definite eigensolve failed: {exc}") from exc
     return values, vectors

