@@ -44,10 +44,10 @@ which keeps the margin, the flags and the raster mask.  A user
 `BoundaryFunction` has no known degree and keeps its nodes.
 
 One pass then serves every requested mode, over cache-sized blocks of
-`_BLOCK_ENTRIES` weights (172 points for the kite's n' = 190) that hold
-kept points only (inside and, for rasters, away from the boundary).  Per
-block it builds w once, takes from it the denominator Σ_j w_j, and each
-mode's numerator is one gemv.
+`_BLOCK_ENTRIES` weights (174 points for the kite's n' = 188 at n = 512)
+that hold kept points only (inside and, for rasters, away from the
+boundary).  Per block it builds w once, takes from it the denominator
+Σ_j w_j, and each mode's numerator is one gemv.
 """
 
 from __future__ import annotations

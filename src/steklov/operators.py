@@ -25,15 +25,20 @@ For an even grid size n the module provides
   `--dump-operators`; the solve uses its Fourier form, K plus the one
   block E - K on the kernels' band (`kernel_band`, `conjugation_system`).
 
-With A(t) = η(t) - α for bounded domains and A(t) = 1 for exterior
-ones, the kernels are
+Both kinds share the generalized Neumann kernel with A = 1 (Wegmann &
+Nasser, J. Comput. Appl. Math. 214, 2008):
 
-    M(s,t) + i N(s,t) = (1/π) (A(s)/A(t)) η'(t) / (η(t) - η(s)),
+    M(s,t) + i N(s,t) = (1/π) η'(t) / (η(t) - η(s)),
     M(s,t) = -(1/2π) cot((s-t)/2) + M̃(s,t),
-    N(t,t) = (1/π) Im(η''(t)/(2η'(t)) - A'(t)/A(t)),
-    M̃(t,t) = (1/π) Re(η''(t)/(2η'(t)) - A'(t)/A(t)).
+    M̃(t,t) + i N(t,t) = (1/π) η''(t) / (2η'(t)).
 
-On the unit disk N ≡ -1/(2π) and M̃ ≡ 0, and E reduces to K.
+On exterior domains I - N is invertible and fixes Im f(∞) = 0.  On
+bounded ones N·1 = 1, so μ is fixed up to a constant: its row reads
+mean(μ) = 0 instead, which D annihilates, and Im f(α) = 0 then sets
+the constant, with f(α) = Σ_j f_j w_j by the trapezoidal Cauchy rule
+(`_cauchy_row`, the one place α enters), exact to rounding on resolved
+periodic data (Trefethen & Weideman, SIAM Rev. 56, 2014).  On the unit
+disk N ≡ 1/(2π), M̃ ≡ 0 and, with α = 0, E = K.
 
 The null space of C is spanned by the constant vector once the grid
 resolves the curve (the constant-annihilation defect decays like the
@@ -51,7 +56,9 @@ inverse, the irfft (F⁺): two real FFTs.  `kernel_band` samples the
 kernels with `nystrom_matrices` on m' = 64 nodes, then on larger
 multiples of 64 (capped at n), until every entry of R in the sample's
 outer quarter (bins max(p, q) >= 3m'/8) is at the rounding floor,
-_FLOOR_PER_NODE·m'.  R is kept on the bins the sample carries; the band
+_FLOOR_PER_NODE·m'; on bounded domains the constant rows of both R
+are zero, so row 0 of the band's I - B̂ reads mean(μ) = 0.  R is kept
+on the bins the sample carries; the band
 is its leading block, the bins p, q <= L of every entry above that
 floor, m = 2L + 1 real Fourier coordinates.  It does not grow with n,
 and a grid below it is sampled whole (m' = n).  E - K =
@@ -186,15 +193,6 @@ def wittich_matrix(n: int) -> np.ndarray:
 # Kernels and Nyström assembly
 # ---------------------------------------------------------------------------
 
-def _log_derivative_term(curve: BoundaryCurve, t: np.ndarray, eta: np.ndarray,
-                         eta1: np.ndarray) -> np.ndarray:
-    """η''/(2η') - A'/A at t, given η and η' there; A' = η' (bounded) or 0 (exterior)."""
-    q = 0.5 * curve.eta2(t) / eta1
-    if curve.kind is DomainKind.BOUNDED_INTERIOR:
-        q = q - eta1 / (eta - curve.alpha)
-    return q
-
-
 def kernel_values(curve: BoundaryCurve, s, t):
     """Point values (N(s,t), M̃(s,t)) of the boundary kernels.
 
@@ -210,18 +208,12 @@ def kernel_values(curve: BoundaryCurve, s, t):
     on_diag = np.abs(d) < 1e-14
 
     ts = np.where(on_diag, 0.0, t)  # dummy arguments on the diagonal
-    eta_s, eta_t = curve.eta(s), curve.eta(ts)
-    eta1_t = curve.eta1(ts)
-    if curve.kind is DomainKind.BOUNDED_INTERIOR:
-        ratio = (eta_s - curve.alpha) / (eta_t - curve.alpha)
-    else:
-        ratio = np.ones_like(eta_s)
-    denom = np.where(on_diag, 1.0, eta_t - eta_s)
-    m_in = (1.0 / np.pi) * ratio * eta1_t / denom
+    denom = np.where(on_diag, 1.0, curve.eta(ts) - curve.eta(s))
+    m_in = (1.0 / np.pi) * curve.eta1(ts) / denom
     n_off = m_in.imag
     mt_off = m_in.real + (1.0 / (2.0 * np.pi)) / np.tan(np.where(on_diag, 1.0, d) / 2.0)
 
-    q = _log_derivative_term(curve, s, eta_s, curve.eta1(s)) / np.pi
+    q = 0.5 * curve.eta2(s) / curve.eta1(s) / np.pi
     n_val = np.where(on_diag, q.imag, n_off)
     mt_val = np.where(on_diag, q.real, mt_off)
     if n_val.ndim == 0:
@@ -236,10 +228,10 @@ def nystrom_matrices(grid: Grid, curve: BoundaryCurve) -> tuple[np.ndarray, np.n
     C annihilates constants up to the trapezoidal error of the kernel.
 
     The complex kernel h (M + i N) is evaluated once off the diagonal,
-    with the column factor (h/π) η'_j / A_j and the row factor A_i.
-    -K_ij and the term (h/2π) cot((t_i - t_j)/2) that turns M into M̃
-    depend on m = i - j mod n only, so C is the kernel's real part plus
-    one circulant with column (1/n) cot(m π / n) - K_m0.
+    with the column factor (h/π) η'_j.  -K_ij and the term
+    (h/2π) cot((t_i - t_j)/2) that turns M into M̃ depend on
+    m = i - j mod n only, so C is the kernel's real part plus one
+    circulant with column (1/n) cot(m π / n) - K_m0.
 
     The kernel fills _PANEL columns at a time of one complex buffer,
     which go straight into B and C; the circulant is a strided view of
@@ -249,11 +241,7 @@ def nystrom_matrices(grid: Grid, curve: BoundaryCurve) -> tuple[np.ndarray, np.n
     n = grid.n
     h = 2.0 * np.pi / n
     eta = grid.eta
-    bounded = curve.kind is DomainKind.BOUNDED_INTERIOR
     col_factor = (h / np.pi) * grid.eta1
-    if bounded:
-        a_val = eta - curve.alpha
-        col_factor = col_factor / a_val
 
     shift = np.zeros(n)
     shift[1:] = 1.0 / (n * np.tan(np.arange(1, n) * np.pi / n))
@@ -266,20 +254,28 @@ def nystrom_matrices(grid: Grid, curve: BoundaryCurve) -> tuple[np.ndarray, np.n
     buf = np.empty((min(_PANEL, n), n), dtype=complex)
     for j0 in range(0, n, _PANEL):
         j1 = min(j0 + _PANEL, n)
-        # h (M + i N)(t_i, t_j) = A_i (h/π) η'_j / (A_j (η_j - η_i)); kern[j - j0, i].
+        # h (M + i N)(t_i, t_j) = (h/π) η'_j / (η_j - η_i); kern[j - j0, i].
         kern = buf[: j1 - j0]
         np.subtract(eta[j0:j1, None], eta, out=kern)
         np.fill_diagonal(kern[:, j0:], 1.0)
         np.divide(col_factor[j0:j1, None], kern, out=kern)
-        if bounded:
-            kern *= a_val
         b.T[j0:j1] = kern.imag
         np.add(windows[n - j0 : n - j1 : -1], kern.real, out=c.T[j0:j1])
 
-    diag = (h / np.pi) * _log_derivative_term(curve, grid.t, eta, grid.eta1)
+    diag = (h / np.pi) * (0.5 * curve.eta2(grid.t) / grid.eta1)
     np.fill_diagonal(b, diag.imag)
     np.fill_diagonal(c, diag.real)
     return b, c
+
+
+def _cauchy_row(curve: BoundaryCurve, grid: Grid) -> np.ndarray | None:
+    """w with f(α) = Σ_j f_j w_j, the trapezoidal Cauchy rule; None for exterior domains.
+
+    w_j = η'_j / (i n (η_j - α)), and Im f(α) = Im(w)·γ + Re(w)·μ.
+    """
+    if curve.kind is DomainKind.UNBOUNDED_EXTERIOR:
+        return None
+    return grid.eta1 / (1j * grid.n * (grid.eta - curve.alpha))
 
 
 @dataclass
@@ -317,11 +313,19 @@ class DtnDiscretization:
 def build_dtn(curve: BoundaryCurve, n: int) -> DtnDiscretization:
     """Assemble B, C and E = -(I - B)^{-1} C for (curve, n).
 
-    The LU of I - B is dropped once E is solved for.
+    On bounded domains N·1 = 1 makes I - B singular, so E is solved with
+    the constants projected out of B's and C's range, P₀ = I - 11ᵀ/n:
+    E₀ = -(I - P₀B)⁻¹P₀C has mean(E₀γ) = 0, and E = E₀ - 1(Im wᵀ + Re wᵀE₀)
+    sets Im f(α) = 0 (`_cauchy_row`).  The LU is dropped once E is
+    solved for.
     """
     grid = build_grid(curve, n)
     b, c = nystrom_matrices(grid, curve)
-    i_minus_b = -b  # keeps B's column-major layout
+    w = _cauchy_row(curve, grid)
+    i_minus_b, rhs = -b, c  # -b keeps B's column-major layout
+    if w is not None:
+        i_minus_b -= i_minus_b.mean(axis=0)
+        rhs = c - c.mean(axis=0)
     i_minus_b[np.diag_indices(n)] += 1.0
     try:
         factors = lu_factor(i_minus_b)
@@ -329,13 +333,10 @@ def build_dtn(curve: BoundaryCurve, n: int) -> DtnDiscretization:
         raise DiscretizationError(
             f"(I - B) is singular at n={n}; increase the grid size"
         ) from exc
-    return DtnDiscretization(
-        curve=curve,
-        grid=grid,
-        B=b,
-        C=c,
-        E=-factors.solve(c),
-    )
+    e = -factors.solve(rhs)
+    if w is not None:
+        e -= w.imag + w.real @ e
+    return DtnDiscretization(curve=curve, grid=grid, B=b, C=c, E=e)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +378,7 @@ class KernelBand:
 
 
 def _sample_grid(curve: BoundaryCurve, m: int) -> Grid:
-    """The curve on m quadrature nodes, unvalidated: only the n-point grid must enclose α."""
+    """The curve on m quadrature nodes, without `build_grid`'s checks."""
     t = nodes(m)
     eta = np.asarray(curve.eta(t), dtype=complex)
     eta1 = np.asarray(curve.eta1(t), dtype=complex)
@@ -396,7 +397,8 @@ def _kernel_coefficients(grid: Grid, curve: BoundaryCurve) -> list[np.ndarray]:
     of R contiguously, the layout LAPACK factorizes and solves with.
     Each transform takes the place of the array it reads, so at most
     three m-square arrays are alive.  K is -i on the bins 0 < p < m/2:
-    C̃ = C + K adds +1 at (2p, 2p + 1) and -1 at (2p + 1, 2p).
+    C̃ = C + K adds +1 at (2p, 2p + 1) and -1 at (2p + 1, 2p).  On
+    bounded domains rows 0 and 1, the constant bin, are zeroed.
     """
     m = grid.n
     scale = np.full(m + 2, 2.0 / m)
@@ -411,6 +413,8 @@ def _kernel_coefficients(grid: Grid, curve: BoundaryCurve) -> list[np.ndarray]:
     p = np.arange(1, m // 2)
     coeffs[1][2 * p, 2 * p + 1] += 1.0
     coeffs[1][2 * p + 1, 2 * p] -= 1.0
+    if curve.kind is DomainKind.BOUNDED_INTERIOR:
+        coeffs[0][:2] = coeffs[1][:2] = 0.0
     return coeffs
 
 

@@ -50,18 +50,23 @@ and the symmetry defect
 warnings.
 
 Traces are the irfft of the Ritz vectors zero-padded to n, and the
-conjugates are μ̂ = K̂ γ̂ + (Ê - K̂) γ̂.  The residual
+conjugates are μ̂ = K̂ γ̂ + (Ê - K̂) γ̂.  On bounded domains the band
+gives mean(μ) = 0; after the residual, each μ is shifted by Im f(α)
+from the Cauchy row (`operators._cauchy_row`) at O(nk).  The residual
 ||(I - B) μ_j + C γ_j||_2 applies B and C̃ through every coefficient of
 the kernel sample, not only the band, so it is the grid operator's to
 the sample's rounding floor.  `SteklovSpectrum` also records the band
 size m, the sample size m' and the band tail (a grid just below the
 band, like the kite at n = 160, is resolved).
 
-Traces are normalized to (2π/n) Σ_j |η'(t_j)| γ(t_j)² = 1 with the
-largest-magnitude component positive.  A trace tail (Fourier energy in
-the bins >= 3n/8) above TRACE_TAIL_WARN issues an UnderResolvedWarning.
-`eigenvalue_derivatives` turns the traces of one solve into the shape
-derivatives of every eigenvalue, with no further solve.
+Traces are normalized to (2π/n) Σ_j |η'(t_j)| γ(t_j)² = 1, with the
+first node whose |γ| is within a relative 1e-8 of max|γ| positive: a
+symmetric curve reaches the maximum at nodes that only rounding tells
+apart.  Degenerate pairs (g1) keep `eigh`'s basis.  A trace tail
+(Fourier energy in the bins >= 3n/8) above TRACE_TAIL_WARN issues an
+UnderResolvedWarning.  `eigenvalue_derivatives` turns the traces of
+one solve into the shape derivatives of every eigenvalue, with no
+further solve.
 """
 
 from __future__ import annotations
@@ -78,6 +83,7 @@ from .operators import (
     DiscretizationError,
     DtnDiscretization,
     KernelBand,
+    _cauchy_row,
     apply_diff_fast,
     build_dtn,  # noqa: F401  (kept importable here: perfbench traces it by this name)
     conjugation_system,
@@ -102,6 +108,8 @@ _DEGENERATE_GAP = 1e-10
 # Largest relative energy of a Ritz vector in its outer quarter of degrees
 # at which P stops growing: √ε, so that P·tail² stays below ε·P.
 _RITZ_TAIL = float(np.sqrt(np.finfo(float).eps))
+# A trace is positive at its first node within this relative slack of max|γ|.
+_SIGN_SLACK = 1e-8
 
 
 class UnderResolvedWarning(UserWarning):
@@ -220,8 +228,9 @@ def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
     traces = np.fft.irfft(gamma_hat, n, axis=1).T
     weights = (2.0 * np.pi / n) * grid.speed
     scale = 1.0 / np.sqrt(np.sum(weights[:, None] * traces**2, axis=0))
-    peak = traces[np.argmax(np.abs(traces), axis=0), np.arange(k)]
-    scale[peak < 0.0] *= -1.0
+    mag = np.abs(traces)
+    first = np.argmax(mag >= (1.0 - _SIGN_SLACK) * mag.max(axis=0), axis=0)
+    scale[traces[first, np.arange(k)] < 0.0] *= -1.0
     traces = np.ascontiguousarray(traces * scale)
     gamma_hat *= scale[:, None]
     # μ̂ = K̂ γ̂ + (Ê - K̂) γ̂, with K̂ = -i on the bins 0 < p < n/2
@@ -231,6 +240,9 @@ def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
     mu_hat.view(float)[:, :nb] += blas.dgemm(1.0, gamma_hat.view(float)[:, :columns], g, trans_b=1)
     conjugates = np.ascontiguousarray(np.fft.irfft(mu_hat, n, axis=1).T)
     residuals = _residuals(band, gamma_hat, mu_hat, n)
+    w = _cauchy_row(curve, grid)
+    if w is not None:  # the band gave mean(μ) = 0; set Im f(α) = 0 instead
+        conjugates -= w.imag @ traces + w.real @ conjugates
     energy = np.abs(gamma_hat) ** 2
     tail = np.sqrt(np.sum(energy[:, (3 * n + 7) // 8 :], axis=1) / np.sum(energy, axis=1))
     if np.max(tail) > TRACE_TAIL_WARN:

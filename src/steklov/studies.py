@@ -44,7 +44,6 @@ __all__ = [
     "check_inequalities",
     "convergence_study",
     "find_crossing",
-    "gap_decay_summary",
     "paper_n_policy",
     "parameter_sweep",
 ]
@@ -385,21 +384,3 @@ def asymptotic_gaps(spectrum: SteklovSpectrum, k_max: int | None = None) -> list
             )
         )
     return out
-
-
-def gap_decay_summary(
-    records: list[GapRecord],
-    low_range: tuple[int, int] = (15, 20),
-    high_range: tuple[int, int] = (45, 50),
-) -> tuple[float, float]:
-    """Max |gap| over a low-k and a high-k window (decay diagnostic)."""
-
-    def window_max(lo: int, hi: int) -> float:
-        vals = [
-            max(abs(rec.gap_odd), abs(rec.gap_even)) for rec in records if lo <= rec.k <= hi
-        ]
-        if not vals:
-            raise StudyError(f"no gap records in k-range [{lo}, {hi}]")
-        return max(vals)
-
-    return window_max(*low_range), window_max(*high_range)

@@ -452,7 +452,7 @@ def test_raster_values_match_full_blocks(curve, request, monkeypatch):
     fields = raster_field(spec, modes, 120)
     kept = np.isfinite(fields[0].u)
     bfs = _mode_functions(spec, modes)
-    assert bfs[0].grid.n == {"kite_bounded": 190, "kite_exterior": 188}[curve]  # 2 max(P, L) + 2
+    assert bfs[0].grid.n == 188  # 2 max(P, L) + 2
     chunk = steklov.extension._BLOCK_ENTRIES // bfs[0].grid.n
     # every block holds kept points only, and all but the last are full
     assert len(calls) == len(modes) * math.ceil(kept.sum() / chunk)

@@ -148,13 +148,13 @@ def test_wittich_involution_on_band_limited_data():
 
 def test_kernel_values_unit_circle_offdiag(disk):
     n_val, mt_val = kernel_values(disk, 0.7, 2.1)
-    assert n_val == pytest.approx(-1.0 / (2 * np.pi), abs=1e-14)
+    assert n_val == pytest.approx(1.0 / (2 * np.pi), abs=1e-14)
     assert mt_val == pytest.approx(0.0, abs=1e-14)
 
 
 def test_kernel_values_unit_circle_diagonal(disk):
     n_val, mt_val = kernel_values(disk, 1.3, 1.3)
-    assert n_val == pytest.approx(-1.0 / (2 * np.pi), abs=1e-15)
+    assert n_val == pytest.approx(1.0 / (2 * np.pi), abs=1e-15)
     assert mt_val == pytest.approx(0.0, abs=1e-15)
 
 
@@ -229,12 +229,14 @@ def test_band_from_a_sample_is_the_grids_band(kind, family, n):
     xi = np.fft.rfft(v.T.copy(), axis=1).view(float)[:, :s]
     for x, sample in ((b, band.b_sample), (c + wittich_matrix(n), band.c_sample)):
         ref = np.fft.rfft((x @ v).T.copy(), axis=1).view(float)[:, :s]
+        if kind is DomainKind.BOUNDED_INTERIOR:
+            ref[:, :2] = 0.0  # the bounded band drops the constant row
         assert np.max(np.abs(xi @ sample.T - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_band_size_does_not_depend_on_the_grid(kite_bounded):
     bands = [kernel_band(kite_bounded, build_grid(kite_bounded, n)) for n in (1024, 2048)]
-    assert [(b.sample_n, b.size) for b in bands] == [(256, 189)] * 2
+    assert [(b.sample_n, b.size) for b in bands] == [(320, 187)] * 2
     assert all(b.tail <= 0.5 * np.finfo(float).eps * b.sample_n for b in bands)
     assert np.array_equal(bands[0].b_band, bands[1].b_band)
     assert np.array_equal(bands[0].c_band, bands[1].c_band)
@@ -249,10 +251,11 @@ def test_band_of_an_under_resolved_grid_is_the_whole_grid(g1_curve):
 
 
 def test_disk_band_is_the_constant(disk):
-    # B = -(1/n) 1 1ᵀ and C̃ = 0: one coefficient, T_B[0, 0] = -1
+    # B = (1/n) 1 1ᵀ lives in the constant row, which the bounded band
+    # drops, and C̃ = 0: the band is the constant bin, and it is zero
     band = kernel_band(disk, build_grid(disk, 256))
     assert (band.sample_n, band.size) == (64, 1)
-    assert band.b_band == pytest.approx(np.array([[-1.0, 0.0], [0.0, 0.0]]), abs=1e-15)
+    assert np.max(np.abs(band.b_band)) <= 1e-15
     assert np.max(np.abs(band.c_band)) <= 1e-15
 
 
@@ -260,7 +263,7 @@ def test_nystrom_circle_matrices(disk):
     n = 32
     grid = build_grid(disk, n)
     b, c = nystrom_matrices(grid, disk)
-    assert np.max(np.abs(b + np.full((n, n), 1.0 / n))) <= 1e-14
+    assert np.max(np.abs(b - np.full((n, n), 1.0 / n))) <= 1e-14
     assert np.max(np.abs(c + wittich_matrix(n))) <= 1e-13
 
 

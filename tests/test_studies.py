@@ -15,7 +15,6 @@ from steklov.studies import (
     check_inequalities,
     convergence_study,
     find_crossing,
-    gap_decay_summary,
     paper_n_policy,
     parameter_sweep,
 )
@@ -324,10 +323,3 @@ def test_gap_requires_enough_modes(disk):
     spec = solve_spectrum(disk, 64, 9)
     with pytest.raises(StudyError):
         asymptotic_gaps(spec, k_max=5)
-
-
-def test_gap_decay_summary(kite_bounded):
-    spec = solve_spectrum(kite_bounded, 512, 80)
-    records = asymptotic_gaps(spec)
-    low, high = gap_decay_summary(records, low_range=(10, 15), high_range=(35, 40))
-    assert high < low
