@@ -32,9 +32,9 @@ sample mark exactly the near points, where the side is the tangent
 test, and rasters mask them; they do not mark where the rule loses
 accuracy.  Anything within 1e-6 of the curve should not be trusted.
 
-Computed modes are extended from n' = min(n, 2 max(P, L) + 2) nodes,
-not n.  γ has degree P, and μ = Kγ + (Ê - K̂)γ has degree at most
-max(P, L), with L the top frequency of the kernels' band, so truncating
+Computed modes are extended from n' = min(n, 2P + 2) nodes, not n.
+γ has degree P, and so has μ = Kγ + (Ê - K̂)γ: the Ritz degree P is at
+least L, the top frequency of the kernels' band, or n/2.  Truncating
 their FFTs and transforming back to n' nodes resamples them exactly.
 The rule is limited by how well the data are resolved, not by the grid
 (the trapezoidal rule converges geometrically on resolved periodic data:
@@ -268,7 +268,7 @@ def _mode_functions(spectrum: SteklovSpectrum, j) -> list[BoundaryFunction]:
     """Modes j resampled exactly on the n' nodes that resolve them; see the module docstring."""
     bfs = [mode_boundary_function(spectrum, int(i)) for i in np.atleast_1d(j)]
     n = spectrum.n
-    m = min(n, 2 * max(spectrum.degree, (spectrum.band_size - 1) // 2) + 2)
+    m = min(n, 2 * spectrum.degree + 2)
     if m == n:
         return bfs
     grid = _sample_grid(spectrum.curve, m)

@@ -32,21 +32,24 @@ positive definite and the Ritz values decrease to the grid's as P
 grows; a Ritz value <= 0 therefore shows the grid problem indefinite,
 and the solve stops there with a `DiscretizationError`.
 
-P is derived.  It starts at 2(k + 2) and grows until the Ritz vectors'
-derivative p·x_p, extrapolated beyond P from its tails beyond 3P/4 and
-P/2, has relative norm <= √ε: its energy there is then at rounding, so
-the eigenvalues' truncation error stays below the eigensolver's and the
-traces are good to their derivatives (`eigenvalue_derivatives`).  Each
-step goes to the degree at which the tails' geometric decay predicts
-that bound; plain doubling overshoots it (g1 at n = 2048, k = 10: 192
-against 122) and made `solve-large` and `crossing` slower.  P is capped
-at n/2.  There the reduced problem is the symmetric part of the n-grid
-problem: once the grid resolves the curve, D E is symmetric to rounding
-and the eigenvalues are Q's (`assemble_q`) to rounding; on coarser
-grids the symmetric part moves them by far less than the grid's own
-error (g2 at n = 64: 1e-7 against 2e-3).  `SteklovSpectrum` records P
-and the symmetry defect
-‖S - Sᵀ‖_F / ‖S‖_F of the reduced S_P; both are diagnostics, not
+P is derived.  It starts at max(2(k + 2), L), L the top of the kernels'
+band: S_P then holds the whole block D (Ê - K̂), and the traces'
+content is where the band puts it.  P stops once every Ritz pair has
+relative residual ρ_j = ‖S x_j - λ_j W x_j‖_{W⁻¹} / (λ_j ‖x_j‖_W) <= √ε,
+taken on the whole grid with x zero beyond P; otherwise it doubles.
+Ritz values bound the grid's from above, by at most (ρ_j λ_j)²/δ_j with
+δ_j the gap to the nearest other eigenvalue (Kato–Temple), and the
+vectors are off by at most ρ_j λ_j/δ_j (Davis–Kahan; Parlett, The
+Symmetric Eigenvalue Problem, SIAM 1998, ch. 10–11).  With k = 10 on
+the resolved builtins the first degree is certified, so the solve makes
+one `eigh`; g2 at k = 100, n = 1024 takes two (P = 204, then 408).  P
+is capped at n/2.  There the reduced problem is the symmetric part of
+the n-grid problem: once the grid resolves the curve, D E is symmetric
+to rounding and the eigenvalues are Q's (`assemble_q`) to rounding; on
+coarser grids the symmetric part moves them by far less than the
+grid's own error (g2 at n = 64: 1e-7 against 2e-3).  `SteklovSpectrum`
+records P, the residuals ρ and the symmetry defect
+‖S - Sᵀ‖_F / ‖S‖_F of the reduced S_P; all are diagnostics, not
 warnings.
 
 Traces are the irfft of the Ritz vectors zero-padded to n, and the
@@ -105,9 +108,9 @@ __all__ = [
 TRACE_TAIL_WARN = 1e-5
 # Consecutive eigenvalues closer than this, relative, form a degenerate pair.
 _DEGENERATE_GAP = 1e-10
-# Largest relative energy of a Ritz vector in its outer quarter of degrees
-# at which P stops growing: √ε, so that P·tail² stays below ε·P.
-_RITZ_TAIL = float(np.sqrt(np.finfo(float).eps))
+# Largest relative Ritz residual at which P stops growing: √ε, so that the
+# Kato–Temple bound (ρλ)²/δ on the eigenvalues' error is at rounding.
+_RITZ_TOL = float(np.sqrt(np.finfo(float).eps))
 # A trace is positive at its first node within this relative slack of max|γ|.
 _SIGN_SLACK = 1e-8
 
@@ -147,6 +150,9 @@ class SteklovSpectrum:
         n first.
     degree : int
         The degree P of the Rayleigh–Ritz space, at most n/2.
+    ritz_residual : ndarray, shape (k,)
+        ‖S x_j - λ_j W x_j‖_{W⁻¹} / (λ_j ‖x_j‖_W) per Ritz pair, on the
+        whole grid: at most √ε unless P reached n/2.
     symmetry_defect : float
         ‖S - Sᵀ‖_F / ‖S‖_F of the reduced S_P, before symmetrization.
     """
@@ -167,6 +173,7 @@ class SteklovSpectrum:
     sample_size: int
     band_tail: float
     degree: int
+    ritz_residual: np.ndarray
     symmetry_defect: float
 
 
@@ -206,21 +213,18 @@ def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
     grid = build_grid(curve, n)
     band = kernel_band(curve, grid)
     factors, rhs = conjugation_system(band)
-    g = s = np.empty((rhs.shape[0], 0))  # the leading columns of Ê - K̂ solved for so far
+    g = -factors.solve(rhs)  # Ê - K̂ on the band; P >= L below, so every column enters
+    s = _dtn_band(g, n)
     speed_hat = np.fft.fft(grid.speed) / n
-    degree = min(2 * (k + 2), n // 2)
+    degree = min(max(2 * (k + 2), band.top), n // 2)
     while True:
-        done, columns = g.shape[1], min(rhs.shape[1], 2 * degree + 2)
-        if done < columns:
-            new = -factors.solve(rhs[:, done:columns])
-            g, s = np.hstack((g, new)), np.hstack((s, _dtn_band(new, n, done)))
         lam, x, defect = _ritz(s, speed_hat, degree, k)
         if lam[0] <= 0.0:  # Ritz values bound the grid's from above: the grid pencil is indefinite
             raise DiscretizationError(f"non-positive eigenvalue {lam[0]:.3g} at n={n}; increase n")
-        half, outer = _derivative_tails(x, degree)
-        if degree == n // 2 or outer**2 <= _RITZ_TAIL * half:  # the tail beyond P, extrapolated
+        rho = _ritz_residual(s, grid.speed, lam, x)
+        if degree == n // 2 or np.max(rho) <= _RITZ_TOL:
             break
-        degree = _next_degree(degree, half, outer, n)
+        degree = min(2 * degree, n // 2)
 
     # rfft(γ_j) in row j: x divided by the basis scale, zero-padded to n
     gamma_hat = np.zeros((k, n // 2 + 1), dtype=complex)
@@ -242,7 +246,7 @@ def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
     residuals = _residuals(band, gamma_hat, mu_hat, n)
     w = _cauchy_row(curve, grid)
     if w is not None:  # the band gave mean(μ) = 0; set Im f(α) = 0 instead
-        conjugates -= w.imag @ traces + w.real @ conjugates
+        conjugates -= blas.dgemv(1.0, traces.T, w.imag) + blas.dgemv(1.0, conjugates.T, w.real)
     energy = np.abs(gamma_hat) ** 2
     tail = np.sqrt(np.sum(energy[:, (3 * n + 7) // 8 :], axis=1) / np.sum(energy, axis=1))
     if np.max(tail) > TRACE_TAIL_WARN:
@@ -273,37 +277,9 @@ def solve_spectrum(curve: BoundaryCurve, n: int, k: int) -> SteklovSpectrum:
         sample_size=band.sample_n,
         band_tail=band.tail,
         degree=degree,
+        ritz_residual=rho,
         symmetry_defect=defect,
     )
-
-
-def _derivative_tails(x: np.ndarray, degree: int) -> tuple[float, float]:
-    """The largest relative norm, over the Ritz vectors, of p·x_p beyond degrees P/2 and 3P/4.
-
-    p·x_p are the coefficients of γ' (rows 2p and 2p + 1 of x are bin p).
-    """
-    weighted = (np.arange(x.shape[0]) // 2)[:, None] * x
-    energy = np.cumsum(weighted[::-1] ** 2, axis=0)[::-1]  # row i: the energy in rows >= i
-    rows = [2 * (degree // 2), 2 * ((3 * degree + 3) // 4)]
-    half, outer = np.sqrt(np.max(energy[rows] / energy[0], axis=1))
-    return float(half), float(outer)
-
-
-def _next_degree(degree: int, half: float, outer: float, n: int) -> int:
-    """The degree at which the tails of `_derivative_tails` reach _RITZ_TAIL.
-
-    The prediction continues their geometric decay from P/2 to 3P/4.
-    The decay slows as the degree grows, so the prediction falls short:
-    the step is a quarter longer than predicted, at least P/4 (a
-    prediction just short of the target would creep up a degree at a
-    time) and at most P (a degree too low to see the decay doubles).
-    The degree is at most n/2.
-    """
-    step = float(degree)
-    if half > outer:
-        quarters = np.log(outer / _RITZ_TAIL) / np.log(half / outer) - 1.0
-        step = min(step, max(degree / 4.0, 1.25 * quarters * degree / 4.0))
-    return min(degree + int(np.ceil(step)), n // 2)
 
 
 def _basis_scale(degree: int, n: int) -> np.ndarray:
@@ -318,8 +294,8 @@ def _basis_scale(degree: int, n: int) -> np.ndarray:
     return r
 
 
-def _dtn_band(g: np.ndarray, n: int, first: int = 0) -> np.ndarray:
-    """D (Ê - K̂) in the orthonormal coordinates, for columns `first`, ... of Ê - K̂ in `g`.
+def _dtn_band(g: np.ndarray, n: int) -> np.ndarray:
+    """D (Ê - K̂) in the orthonormal coordinates, from Ê - K̂ in `g`.
 
     D maps (re, im) of bin p to (-p im, p re), and is zero on the
     constant and the Nyquist bin.
@@ -330,7 +306,7 @@ def _dtn_band(g: np.ndarray, n: int, first: int = 0) -> np.ndarray:
     s[2 * p] = -p[:, None] * g[2 * p + 1]
     s[2 * p + 1] = p[:, None] * g[2 * p]
     r = _basis_scale(nb // 2 - 1, n)
-    return s * r[:, None] / r[first : first + g.shape[1]]
+    return s * r[:, None] / r[: g.shape[1]]
 
 
 def _weight_matrix(speed_hat: np.ndarray, degree: int) -> np.ndarray:
@@ -381,7 +357,7 @@ def _ritz(s: np.ndarray, speed_hat: np.ndarray, degree: int, k: int):
     fixed = [0, size - 2] if nyquist else [0]
     free = slice(2, size - 2 if nyquist else size)
     z = -solve(w[np.ix_(fixed, fixed)], w[fixed, free])
-    w_red, s_red = w[free, free].copy(), a[free, free].copy()
+    w_red, s_red = w[free, free], a[free, free]  # views: the columns `fixed` lie outside them
     for j, row in zip(fixed, z):  # one or two outer products, kept off numpy's BLAS
         w_red += np.multiply.outer(w[free, j], row)
         s_red += np.multiply.outer(a[free, j], row)
@@ -392,6 +368,30 @@ def _ritz(s: np.ndarray, speed_hat: np.ndarray, degree: int, k: int):
     x[free] = y
     x[fixed] = blas.dgemm(1.0, z, y)
     return lam, x, float(defect)
+
+
+def _ritz_residual(s: np.ndarray, speed: np.ndarray, lam: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """ρ_j = ‖S x_j - λ_j W x_j‖_{W⁻¹} / (λ_j ‖x_j‖_W) on the whole grid, per Ritz pair.
+
+    x is `_ritz`'s, zero beyond its degree, and S x = diag|p| x + s x
+    with `_dtn_band`'s block s.  The coordinates are orthonormal and W is
+    diag|η'| on the grid, so with γ = F⁺x and σ = F⁺(S x) the residual's
+    grid values are σ - λ|η'|γ: ‖r‖²_{W⁻¹} = Σ (σ - λ|η'|γ)²/|η'| and
+    ‖x‖²_W = Σ |η'|γ², from one irfft of the 2k vectors.
+    """
+    n, (size, k) = speed.size, x.shape
+    p = np.arange(size) // 2
+    p[p == n // 2] = 0  # D vanishes on the Nyquist bin
+    both = np.zeros((2 * k, n + 2))
+    both[:k, :size] = x.T
+    both[k:, :size] = (p[:, None] * x).T
+    cols = min(size, s.shape[1])
+    both[k:, : s.shape[0]] += blas.dgemm(1.0, x[:cols], s[:, :cols], trans_a=1, trans_b=1)
+    both /= _basis_scale(n // 2, n)
+    grid = np.fft.irfft(both.view(complex), n, axis=1)
+    gamma, sigma = grid[:k], grid[k:]
+    r = sigma - (lam[:, None] * speed) * gamma
+    return np.sqrt(np.sum(r**2 / speed, axis=1) / np.sum(speed * gamma**2, axis=1)) / lam
 
 
 def _residuals(band: KernelBand, gamma_hat: np.ndarray, mu_hat: np.ndarray, n: int) -> np.ndarray:

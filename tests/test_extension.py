@@ -452,7 +452,7 @@ def test_raster_values_match_full_blocks(curve, request, monkeypatch):
     fields = raster_field(spec, modes, 120)
     kept = np.isfinite(fields[0].u)
     bfs = _mode_functions(spec, modes)
-    assert bfs[0].grid.n == 188  # 2 max(P, L) + 2
+    assert bfs[0].grid.n == 188  # 2P + 2
     chunk = steklov.extension._BLOCK_ENTRIES // bfs[0].grid.n
     # every block holds kept points only, and all but the last are full
     assert len(calls) == len(modes) * math.ceil(kept.sum() / chunk)
@@ -521,8 +521,9 @@ def test_resolved_nodes_match_upsampled_reference(family, kind):
 @pytest.mark.parametrize("n", [256, 512, 1024, 2048])
 @pytest.mark.parametrize("family", builtin_families())
 def test_mode_data_have_degree_max_p_l(family, n, kind):
+    # max(P, L) is P: the Ritz degree starts at the band's top L (or n/2)
     spec = solve_spectrum(make_builtin(family, kind=kind), n, 10)
-    top = max(spec.degree, (spec.band_size - 1) // 2)  # max(P, L)
+    top = spec.degree
     for data in (spec.traces, spec.conjugates):
         hat = np.abs(np.fft.rfft(data, axis=0))
         assert np.all(np.max(hat[top + 1 :], axis=0, initial=0.0) <= 1e-14 * np.max(hat, axis=0))
@@ -530,8 +531,9 @@ def test_mode_data_have_degree_max_p_l(family, n, kind):
 
 @pytest.mark.parametrize("kind", list(DomainKind), ids=lambda k: k.value)
 def test_band_at_half_n_keeps_all_nodes(kind):
+    # the band reaches n/2, so the Ritz degree starts there and n' = n
     spec = solve_spectrum(make_builtin("star2", kind=kind), 128, 4)
-    assert spec.band_size == spec.n and 2 * spec.degree + 2 < spec.n  # the band sets n' = n
+    assert spec.band_size == spec.n and spec.degree == spec.n // 2
     modes = [1, 2, 3, 4]
     bfs = _mode_functions(spec, modes)
     assert all(bf.grid is spec.grid for bf in bfs)

@@ -9,9 +9,11 @@ import scipy.linalg
 import scipy.linalg.blas
 import scipy.sparse.linalg
 
+import steklov.cli
 import steklov.densela
 import steklov.operators
 import steklov.spectrum
+import steklov.studies
 from generated_curves import trig_curve
 from steklov import BoundaryCurve, DomainKind, builtin_families, make_builtin, scale_to_perimeter
 from steklov.curves import build_grid
@@ -31,6 +33,7 @@ from steklov.spectrum import (
     eigenvalue_derivatives,
     solve_spectrum,
 )
+from steklov.studies import find_crossing
 
 BOUNDED, EXTERIOR = DomainKind.BOUNDED_INTERIOR, DomainKind.UNBOUNDED_EXTERIOR
 
@@ -189,27 +192,39 @@ def test_one_factorization_and_neither_e_nor_q(kite_bounded, monkeypatch):
 
 def test_b_and_the_factors_share_one_blas_runtime(kite_bounded, monkeypatch):
     # numpy's @ would run on numpy's OpenBLAS thread pool, the factors' solves on scipy's
-    gemm = scipy.linalg.blas.dgemm
-    operands, bands = [], []
+    gemm, gemv = scipy.linalg.blas.dgemm, scipy.linalg.blas.dgemv
+    products, vectors, bands = [], [], []
 
     def recording_gemm(alpha, a, b, *args, **kwargs):
-        operands.append(b)
+        products.append((a, b))
         return gemm(alpha, a, b, *args, **kwargs)
+
+    def recording_gemv(alpha, a, x, *args, **kwargs):
+        vectors.append(a)
+        return gemv(alpha, a, x, *args, **kwargs)
 
     def recording_band(*args):
         bands.append(kernel_band(*args))
         return bands[-1]
 
     monkeypatch.setattr(scipy.linalg.blas, "dgemm", recording_gemm)
+    monkeypatch.setattr(scipy.linalg.blas, "dgemv", recording_gemv)
     monkeypatch.setattr(steklov.spectrum, "kernel_band", recording_band)
-    spec = solve_spectrum(kite_bounded, 512, 6)
+    k = 6
+    spec = solve_spectrum(kite_bounded, 512, k)
     band = bands[0]
+    operands = [b for _, b in products]
     # the residual's B and C̃, from the whole sample
     assert [b is band.b_sample for b in operands].count(True) == 1
     assert [b is band.c_sample for b in operands].count(True) == 1
-    # and the conjugates' Ê - K̂, on the band's rows and the Ritz space's columns
-    blocks = [b for b in operands if b.shape[0] == spec.band_size + 1 and b is not band.b_sample]
-    assert len(blocks) == 1 and blocks[0].shape[1] == min(spec.band_size + 1, 2 * spec.degree + 2)
+    # the band's blocks, on its rows and the Ritz space's columns: Ê - K̂ for
+    # the conjugates (rows of rfft(γ) on the left), D (Ê - K̂) for the Ritz
+    # residual (columns of x on the left)
+    nb, cols = spec.band_size + 1, min(spec.band_size + 1, 2 * spec.degree + 2)
+    blocks = [a.shape for a, b in products if b.shape == (nb, cols)]
+    assert sorted(blocks) == sorted([(k, cols), (cols, k)])
+    # the Cauchy row's Im f(α), against the traces and the conjugates
+    assert [a.shape for a in vectors] == [(k, 512), (k, 512)]
 
 
 def _orthonormal_fourier(m, axis):
@@ -403,6 +418,129 @@ def test_ritz_values_do_not_increase_with_the_degree(family, kind):
         previous = lam
 
 
+_RITZ_TOL = math.sqrt(np.finfo(float).eps)
+
+
+@pytest.mark.parametrize(
+    "curve,n,k",
+    [pytest.param(make_builtin(family, kind=kind), n, 10, id=f"{kind.value}-{family}-{n}")
+     for kind in (BOUNDED, EXTERIOR) for family in builtin_families() for n in (256, 512, 1024, 2048)]
+    + [pytest.param(trig_curve(seed, kind), 256, 10, id=f"{kind.value}-trig{seed}")
+       for kind in (BOUNDED, EXTERIOR) for seed in SEEDS]
+    + [pytest.param(make_builtin(family, kind=kind), 1024, 100, id=f"{kind.value}-{family}-k100")
+       for kind in (BOUNDED, EXTERIOR) for family in ("kite", "g2")],
+)
+def test_ritz_pairs_are_certified(curve, n, k):
+    # the solve stops at a degree where every Ritz pair's residual on the
+    # whole grid is at most √ε, or at P = n/2
+    spec = solve_spectrum(curve, n, k)
+    assert spec.ritz_residual.shape == (k,)
+    assert np.max(spec.ritz_residual) <= _RITZ_TOL
+    assert spec.degree >= min((spec.band_size - 1) // 2, n // 2)  # P starts at the band
+
+
+def _kato_temple_holds(lam, rho, ref):
+    """Kato–Temple for the k lowest of k + 1 Ritz pairs against the grid's `ref`.
+
+    0 <= λ_j - λ_ref,j <= (ρ_j λ_j)²/δ_j, δ_j the distance from λ_j to the
+    nearest other eigenvalue in `ref`, up to the rounding of the two
+    `eigh` calls: absolute, 1e-13 of the largest eigenvalue.  The bound
+    is checked as (diff - rounding)·δ <= (ρλ)², so a zero gap needs no
+    division.
+    """
+    k = lam.size - 1
+    gap = np.array([np.min(np.abs(np.delete(ref, j) - lam[j])) for j in range(k)])
+    diff, rounding = lam[:k] - ref[:k], 1e-13 * ref[k]
+    return bool(np.all(diff >= -rounding)
+                and np.all((diff - rounding) * gap <= (rho[:k] * lam[:k]) ** 2))
+
+
+@pytest.mark.parametrize(
+    "curve,n",
+    [pytest.param(make_builtin(family, kind=kind), n, id=f"{kind.value}-{family}-{n}")
+     for kind in (BOUNDED, EXTERIOR) for family in builtin_families() for n in (256, 512)]
+    + [pytest.param(trig_curve(seed, kind), 256, id=f"{kind.value}-trig{seed}")
+       for kind in (BOUNDED, EXTERIOR) for seed in SEEDS],
+)
+def test_certified_ritz_values_obey_kato_temple(curve, n, monkeypatch):
+    # the solve's values against the grid problem's, P = n/2, from a k + 1
+    # solve whose last value gives the top mode's gap
+    spec = solve_spectrum(curve, n, 11)
+    monkeypatch.setattr(steklov.spectrum, "_RITZ_TOL", 0.0)  # the degree runs to n/2
+    ref = solve_spectrum(curve, n, 11)
+    assert ref.degree == n // 2
+    assert _kato_temple_holds(spec.lambdas, spec.ritz_residual, ref.lambdas)
+
+
+@pytest.mark.parametrize("kind", [BOUNDED, EXTERIOR])
+@pytest.mark.parametrize("family", ["kite", "g2", "star2"])
+def test_kato_temple_bounds_uncertified_ritz_values(family, kind):
+    # below the certified degree the residual is far above √ε (g2 at
+    # P = 24: 0.24) and the eigenvalues far from the grid's, and the bound
+    # still holds: the residual is measured in the right norm
+    n, k = 512, 11
+    curve = make_builtin(family, kind=kind)
+    grid = build_grid(curve, n)
+    factors, rhs = conjugation_system(kernel_band(curve, grid))
+    s = steklov.spectrum._dtn_band(-factors.solve(rhs), n)
+    speed_hat = np.fft.fft(grid.speed) / n
+    ref = steklov.spectrum._ritz(s, speed_hat, n // 2, k)[0]
+    worst = 0.0
+    for degree in (24, 32, 40, 48):
+        lam, x, _ = steklov.spectrum._ritz(s, speed_hat, degree, k)
+        rho = steklov.spectrum._ritz_residual(s, grid.speed, lam, x)
+        assert _kato_temple_holds(lam, rho, ref), degree
+        worst = max(worst, float(np.max(rho)))
+    assert worst > 1e3 * _RITZ_TOL
+
+
+def _counting_eighs(monkeypatch):
+    """Patch scipy.linalg.eigh, which `densela` calls, to count its calls."""
+    calls = []
+    eigh_ = scipy.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return eigh_(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    return calls
+
+
+def _eighs_per_solve(module, monkeypatch, eighs):
+    """Wrap `module.solve_spectrum` to record the eigh calls each solve makes."""
+    solve, counts = module.solve_spectrum, []
+
+    def counted(*args):
+        before = len(eighs)
+        spec = solve(*args)
+        counts.append(len(eighs) - before)
+        return spec
+
+    monkeypatch.setattr(module, "solve_spectrum", counted)
+    return counts
+
+
+def test_benchmark_solves_make_one_eigh(monkeypatch, tmp_path):
+    # the band sets the first Ritz degree and the residual certifies it:
+    # no ladder on the benchmark's solve-large, crossing and modes solves
+    eighs = _counting_eighs(monkeypatch)
+    for case in _benchmark_size_solves():
+        before = len(eighs)
+        solve_spectrum(*case)
+        assert len(eighs) - before == 1, case
+    crossing = _eighs_per_solve(steklov.studies, monkeypatch, eighs)
+    find_crossing("ellipse", BOUNDED, 2, (1.5, 2.5))  # criterion 7's crossings
+    find_crossing("ellipse", BOUNDED, 3, (2.5, 3.5))
+    assert len(crossing) >= 6 and set(crossing) == {1}
+    modes = _eighs_per_solve(steklov.cli, monkeypatch, eighs)
+    for kind in ([], ["--exterior"]):
+        argv = ["modes", "--curve", "kite", *kind, "--n", "512", "--k", "4", "--modes", "1,2,3,4",
+                "--raster", "16", "--output", str(tmp_path / f"kite{len(kind)}")]
+        assert steklov.cli.main(argv) == 0
+    assert modes == [1, 1]
+
+
 def test_spectrum_independent_of_alpha(g1_curve):
     spec_a = solve_spectrum(g1_curve, 512, 8)
     spec_b = solve_spectrum(replace(g1_curve, alpha=8.5 + 0j), 512, 8)
@@ -546,10 +684,10 @@ def _benchmark_size_solves():
 
 # (m', m, P) of each case of _benchmark_size_solves, in its order
 BENCHMARK_SIZES = [
-    (448, 307, 122), (512, 339, 159), (320, 187, 76), (320, 187, 84),
-    (448, 307, 122), (512, 339, 159), (320, 187, 76), (320, 187, 84),
-    (320, 187, 77), (320, 187, 75), (128, 128, 64), (128, 128, 64),
-    (64, 35, 15), (192, 113, 45), (64, 35, 15), (128, 113, 45),
+    (448, 307, 153), (512, 339, 169), (320, 187, 93), (320, 187, 93),
+    (448, 307, 153), (512, 339, 169), (320, 187, 93), (320, 187, 93),
+    (320, 187, 93), (320, 187, 93), (128, 128, 64), (128, 128, 64),
+    (64, 35, 17), (192, 113, 56), (64, 35, 17), (128, 113, 56),
 ]
 
 
